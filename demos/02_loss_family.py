@@ -15,10 +15,6 @@ from heatloss import (
     GroundTruthBundle,
     LossConfig,
     LossVariant,
-    eval_alpha_focal,
-    eval_heatmap_focal,
-    eval_mask_focal,
-    eval_poly1,
     loss_with_grad,
 )
 
@@ -44,9 +40,9 @@ for variant in LossVariant:
 
 print("\nreduction identities on binary ground truth:")
 cfg = LossConfig(LossVariant.ALPHA_FOCAL, alpha=1.0, beta=4.0, gamma=2.0)
-base = eval_alpha_focal(pred, binary_gt, cfg).value
-via_heatmap = eval_heatmap_focal(pred, binary_gt, cfg).value
-via_mask = eval_mask_focal(pred, binary_gt, replace(cfg, beta=0.0)).value
+base = loss_with_grad(pred, binary_gt, cfg).value
+via_heatmap = loss_with_grad(pred, binary_gt, replace(cfg, variant=LossVariant.HEATMAP_FOCAL)).value
+via_mask = loss_with_grad(pred, binary_gt, replace(cfg, variant=LossVariant.MASK_FOCAL, beta=0.0)).value
 print(f"  binary focal        {base:.12f}")
 print(f"  heatmap focal       {via_heatmap:.12f}   (beta irrelevant: every negative has zero heat)")
 print(f"  mask focal, beta=0  {via_mask:.12f}")
@@ -54,7 +50,7 @@ print(f"  mask focal, beta=0  {via_mask:.12f}")
 print("\npoly-1 perturbation strength on the smooth ground truth:")
 for eps1 in (0.0, 0.5, 1.0):
     cfg = LossConfig(LossVariant.MASK_FOCAL_POLY1, beta=0.5, gamma=4.0, eps1=eps1)
-    value = eval_poly1(pred, smooth_gt, cfg).value
+    value = loss_with_grad(pred, smooth_gt, cfg).value
     print(f"  eps1 = {eps1:3.1f} -> {value:.6f}")
-base = eval_mask_focal(pred, smooth_gt, LossConfig(LossVariant.MASK_FOCAL, beta=0.5, gamma=4.0)).value
+base = loss_with_grad(pred, smooth_gt, LossConfig(LossVariant.MASK_FOCAL, beta=0.5, gamma=4.0)).value
 print(f"  base mask focal     {base:.6f}   (equals the eps1 = 0 row exactly)")

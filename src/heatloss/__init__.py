@@ -32,10 +32,6 @@ from .losses import (
     LossVariant,
     ScalarSample,
     batched_loss_values,
-    eval_alpha_focal,
-    eval_heatmap_focal,
-    eval_mask_focal,
-    eval_poly1,
     focal_scalar,
     loss_with_grad,
 )
@@ -89,10 +85,6 @@ __all__ = [
     "compute_metrics",
     "compute_sigma",
     "count_image",
-    "eval_alpha_focal",
-    "eval_heatmap_focal",
-    "eval_mask_focal",
-    "eval_poly1",
     "extract_peaks",
     "fit_direct",
     "focal_scalar",

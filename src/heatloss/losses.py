@@ -1,19 +1,24 @@
 """The focal-loss family over prediction grids, with analytic gradients.
 
-Six variants share a common shape: a per-pixel term split into a positive
-and a negative branch, summed over the grid, and scaled by ``-alpha / N``
-(``N`` = object count; the plain scalar variant is an unscaled sum).
+Every variant is one poly-1 form: a positive and a negative per-pixel branch,
+summed over the grid and scaled by ``-alpha / N`` (``N`` = object count;
+``FOCAL_SCALAR`` is the plain unscaled sum).  The positive branch takes one of
+two forms:
 
-* ``FOCAL_SCALAR``  - per-pixel focal loss against binary labels, no scaling.
-* ``ALPHA_FOCAL``   - binary feature map supervision: box interiors are
-  positives with target 1, everything else a plain negative.
-* ``HEATMAP_FOCAL`` - keypoint supervision: only exact-1 pixels are
-  positives; negatives are down-weighted by ``(1 - p)^beta`` near keypoints.
-* ``MASK_FOCAL``    - mask=1 pixels are graded by the absolute prediction
-  error ``dp = |p - q|`` against the heatmap value, weighted by ``p^beta``;
-  mask=0 pixels are plain negatives.
-* ``POLY1_PIXELWISE`` / ``MASK_FOCAL_POLY1`` - the two variants above with a
-  first-order polynomial perturbation scaled by ``eps1``.
+* keypoint - ``(1-q)^g ln q - eps1 (1-q)^(g+1)`` on pixels whose heatmap
+  value is exactly 1 (``FOCAL_SCALAR``, ``ALPHA_FOCAL``, ``HEATMAP_FOCAL``,
+  ``POLY1_PIXELWISE``);
+* graded - ``w dp^g ln(1-dp) - eps1 p^b dp^(g+1)`` on mask=1 pixels, with
+  ``dp = |p - q|`` the absolute prediction error against the heatmap value
+  ``p`` and ``w = (1 - eps1) p^b + eps1`` (``MASK_FOCAL``,
+  ``MASK_FOCAL_POLY1``).
+
+Every other pixel takes the background branch ``q^g ln(1-q) - eps1 q^(g+1)``,
+weighted by ``(1 - p)^b`` in ``HEATMAP_FOCAL`` and ``POLY1_PIXELWISE``.  The
+four base variants are their poly-1 forms at ``eps1 = 0``: ``POLY1_PIXELWISE``
+and ``MASK_FOCAL_POLY1`` at ``eps1 = 0`` run the very arithmetic of
+``HEATMAP_FOCAL`` and ``MASK_FOCAL``.  On binary ground truth the negative
+weight is 1 and every variant reduces to focal loss.
 
 Predictions are clamped to ``[clamp, 1 - clamp]`` before any logarithm, and
 ``dp`` is capped below ``1 - clamp``; gradients are zero where the clamp is
@@ -46,6 +51,7 @@ class LossVariant(Enum):
 _POLY_VARIANTS = (LossVariant.POLY1_PIXELWISE, LossVariant.MASK_FOCAL_POLY1)
 _MASK_VARIANTS = (LossVariant.MASK_FOCAL, LossVariant.MASK_FOCAL_POLY1)
 _BINARY_GT_VARIANTS = (LossVariant.FOCAL_SCALAR, LossVariant.ALPHA_FOCAL)
+_WEIGHTED_NEG_VARIANTS = (LossVariant.HEATMAP_FOCAL, LossVariant.POLY1_PIXELWISE)
 
 
 @dataclass(frozen=True)
@@ -140,135 +146,64 @@ def focal_scalar(sample: ScalarSample, gamma: float, clamp: float = 1e-4) -> flo
     return -((1.0 - p_t) ** gamma) * math.log(p_t)
 
 
-# --- shared subexpressions ------------------------------------------------
-# Keypoint term (1-q)^g * ln(q) and background term q^g * ln(1-q) appear
-# verbatim in several variants; sharing them keeps the algebraic reduction
-# identities between variants exact at the bit level.
+# --- branch kernels -----------------------------------------------------------
+# Each returns the per-pixel term and its derivative in q together, sharing the
+# power and logarithm between them.  The eps1 polynomial term is skipped at
+# eps1 = 0, so a poly-1 variant there runs exactly the arithmetic of its base.
 
 
-def _keypoint_term(q: np.ndarray, gamma: float) -> np.ndarray:
-    return np.power(1.0 - q, gamma) * np.log(q)
+def _keypoint_branch(q: np.ndarray, gamma: float, eps1: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(1-q)^g ln q - eps1 (1-q)^(g+1)`` and its derivative in ``q``."""
+    u = 1.0 - q
+    pg = np.power(u, gamma)
+    log_q = np.log(q)
+    term = pg * log_q
+    grad = pg * (1.0 / q - gamma * log_q / u)
+    if eps1 != 0.0:
+        term -= eps1 * pg * u
+        grad += eps1 * (gamma + 1.0) * pg
+    return term, grad
 
 
-def _keypoint_grad(q: np.ndarray, gamma: float) -> np.ndarray:
-    return -gamma * np.power(1.0 - q, gamma - 1.0) * np.log(q) + np.power(1.0 - q, gamma) / q
+def _background_branch(q: np.ndarray, gamma: float, eps1: float) -> tuple[np.ndarray, np.ndarray]:
+    """``q^g ln(1-q) - eps1 q^(g+1)`` and its derivative in ``q``."""
+    pg = np.power(q, gamma)
+    log_u = np.log1p(-q)
+    term = pg * log_u
+    grad = pg * (gamma * log_u / q - 1.0 / (1.0 - q))
+    if eps1 != 0.0:
+        term -= eps1 * pg * q
+        grad -= eps1 * (gamma + 1.0) * pg
+    return term, grad
 
 
-def _background_term(q: np.ndarray, gamma: float) -> np.ndarray:
-    return np.power(q, gamma) * np.log1p(-q)
+def _graded_branch(
+    q: np.ndarray, heat: np.ndarray, cfg: LossConfig, eps1: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``w dp^g ln(1-dp) - eps1 p^b dp^(g+1)`` and its derivative in ``q``.
 
-
-def _background_grad(q: np.ndarray, gamma: float) -> np.ndarray:
-    return gamma * np.power(q, gamma - 1.0) * np.log1p(-q) - np.power(q, gamma) / (1.0 - q)
-
-
-def _error_delta(q: np.ndarray, heat: np.ndarray, clamp: float) -> np.ndarray:
-    return np.minimum(np.abs(heat - q), 1.0 - clamp)
-
-
-def _graded_pos_grad_core(q: np.ndarray, heat: np.ndarray, dp: np.ndarray, gamma: float) -> np.ndarray:
-    # d/d(dp) of dp^g * ln(1-dp), times sign(q - p); sign 0 at the kink
-    # doubles as the chosen subgradient and suppresses the 0^negative inf.
-    sign = np.sign(q - heat)
-    dp_safe = np.where(dp == 0.0, 1.0, dp)
-    inner = gamma * np.power(dp_safe, gamma - 1.0) * np.log1p(-dp) - np.power(dp, gamma) / (1.0 - dp)
-    return sign * inner
-
-
-# --- per-variant assemblies -------------------------------------------------
-
-
-def _terms_binary(q: np.ndarray, pos: np.ndarray, cfg: LossConfig) -> np.ndarray:
-    return np.where(pos, _keypoint_term(q, cfg.gamma), _background_term(q, cfg.gamma))
-
-
-def _grads_binary(q: np.ndarray, pos: np.ndarray, cfg: LossConfig) -> np.ndarray:
-    return np.where(pos, _keypoint_grad(q, cfg.gamma), _background_grad(q, cfg.gamma))
-
-
-def _terms_heatmap(q: np.ndarray, heat: np.ndarray, pos: np.ndarray, cfg: LossConfig) -> np.ndarray:
-    neg_w = np.power(1.0 - heat, cfg.beta)
-    return np.where(pos, _keypoint_term(q, cfg.gamma), neg_w * _background_term(q, cfg.gamma))
-
-
-def _grads_heatmap(q: np.ndarray, heat: np.ndarray, pos: np.ndarray, cfg: LossConfig) -> np.ndarray:
-    neg_w = np.power(1.0 - heat, cfg.beta)
-    return np.where(pos, _keypoint_grad(q, cfg.gamma), neg_w * _background_grad(q, cfg.gamma))
-
-
-def _terms_poly_pixelwise(q: np.ndarray, heat: np.ndarray, pos: np.ndarray, cfg: LossConfig) -> np.ndarray:
-    neg_w = np.power(1.0 - heat, cfg.beta)
-    pos_t = _keypoint_term(q, cfg.gamma) - cfg.eps1 * np.power(1.0 - q, cfg.gamma + 1.0)
-    neg_t = neg_w * (_background_term(q, cfg.gamma) - cfg.eps1 * np.power(q, cfg.gamma + 1.0))
-    return np.where(pos, pos_t, neg_t)
-
-
-def _grads_poly_pixelwise(q: np.ndarray, heat: np.ndarray, pos: np.ndarray, cfg: LossConfig) -> np.ndarray:
-    neg_w = np.power(1.0 - heat, cfg.beta)
-    pos_g = _keypoint_grad(q, cfg.gamma) + cfg.eps1 * (cfg.gamma + 1.0) * np.power(1.0 - q, cfg.gamma)
-    neg_g = neg_w * (_background_grad(q, cfg.gamma) - cfg.eps1 * (cfg.gamma + 1.0) * np.power(q, cfg.gamma))
-    return np.where(pos, pos_g, neg_g)
-
-
-def _terms_mask(q: np.ndarray, heat: np.ndarray, pos: np.ndarray, cfg: LossConfig) -> np.ndarray:
-    dp = _error_delta(q, heat, cfg.clamp)
-    graded = np.power(heat, cfg.beta) * np.power(dp, cfg.gamma) * np.log1p(-dp)
-    return np.where(pos, graded, _background_term(q, cfg.gamma))
-
-
-def _grads_mask(q: np.ndarray, heat: np.ndarray, pos: np.ndarray, cfg: LossConfig) -> np.ndarray:
-    dp = _error_delta(q, heat, cfg.clamp)
-    graded = np.power(heat, cfg.beta) * _graded_pos_grad_core(q, heat, dp, cfg.gamma)
-    return np.where(pos, graded, _background_grad(q, cfg.gamma))
-
-
-def _terms_mask_poly(q: np.ndarray, heat: np.ndarray, pos: np.ndarray, cfg: LossConfig) -> np.ndarray:
-    # eps1 interpolates the mask=1 log-term weight between p^beta (eps1=0,
-    # the unperturbed mask focal loss) and 1 (eps1=1, the unit-coefficient
-    # poly-1 form, whose beta weight sits on the polynomial term instead).
-    dp = _error_delta(q, heat, cfg.clamp)
+    ``dp = |p - q|`` is capped below ``1 - clamp``.  ``w = (1 - eps1) p^b + eps1``
+    moves the ``p^b`` weight from the log term (eps1 = 0, the mask focal loss)
+    onto the polynomial term (eps1 = 1, the unit-coefficient poly-1 form).
+    """
+    diff = q - heat
+    dp = np.minimum(np.abs(diff), 1.0 - cfg.clamp)
+    pg = np.power(dp, cfg.gamma)
+    log_v = np.log1p(-dp)
     pb = np.power(heat, cfg.beta)
-    log_w = (1.0 - cfg.eps1) * pb + cfg.eps1
-    pos_t = log_w * np.power(dp, cfg.gamma) * np.log1p(-dp) - cfg.eps1 * pb * np.power(dp, cfg.gamma + 1.0)
-    neg_t = _background_term(q, cfg.gamma) - cfg.eps1 * np.power(q, cfg.gamma + 1.0)
-    return np.where(pos, pos_t, neg_t)
-
-
-def _grads_mask_poly(q: np.ndarray, heat: np.ndarray, pos: np.ndarray, cfg: LossConfig) -> np.ndarray:
-    dp = _error_delta(q, heat, cfg.clamp)
-    pb = np.power(heat, cfg.beta)
-    log_w = (1.0 - cfg.eps1) * pb + cfg.eps1
-    sign = np.sign(q - heat)
-    pos_g = log_w * _graded_pos_grad_core(q, heat, dp, cfg.gamma) - cfg.eps1 * pb * (
-        cfg.gamma + 1.0
-    ) * np.power(dp, cfg.gamma) * sign
-    neg_g = _background_grad(q, cfg.gamma) - cfg.eps1 * (cfg.gamma + 1.0) * np.power(q, cfg.gamma)
-    return np.where(pos, pos_g, neg_g)
-
-
-_TERMS = {
-    LossVariant.FOCAL_SCALAR: lambda q, heat, pos, cfg: _terms_binary(q, pos, cfg),
-    LossVariant.ALPHA_FOCAL: lambda q, heat, pos, cfg: _terms_binary(q, pos, cfg),
-    LossVariant.HEATMAP_FOCAL: _terms_heatmap,
-    LossVariant.POLY1_PIXELWISE: _terms_poly_pixelwise,
-    LossVariant.MASK_FOCAL: _terms_mask,
-    LossVariant.MASK_FOCAL_POLY1: _terms_mask_poly,
-}
-
-_GRADS = {
-    LossVariant.FOCAL_SCALAR: lambda q, heat, pos, cfg: _grads_binary(q, pos, cfg),
-    LossVariant.ALPHA_FOCAL: lambda q, heat, pos, cfg: _grads_binary(q, pos, cfg),
-    LossVariant.HEATMAP_FOCAL: _grads_heatmap,
-    LossVariant.POLY1_PIXELWISE: _grads_poly_pixelwise,
-    LossVariant.MASK_FOCAL: _grads_mask,
-    LossVariant.MASK_FOCAL_POLY1: _grads_mask_poly,
-}
-
-
-def _positive_selector(variant: LossVariant, gt: GroundTruthBundle) -> np.ndarray:
-    if variant in _MASK_VARIANTS:
-        return gt.mask.values == 1.0
-    return gt.heatmap.values == 1.0
+    term = pg * log_v
+    # dp^(g-1) = pg / dp; at the dp = 0 kink sign(diff) = 0 below is the chosen
+    # subgradient, and dividing by 1 there keeps 0 / 0 out of it.
+    grad = cfg.gamma * pg / np.where(dp == 0.0, 1.0, dp) * log_v - pg / (1.0 - dp)
+    if eps1 == 0.0:
+        term *= pb
+        grad *= pb
+    else:
+        w = (1.0 - eps1) * pb + eps1
+        term = w * term - eps1 * pb * pg * dp
+        grad = w * grad - eps1 * (cfg.gamma + 1.0) * pb * pg
+    grad *= np.sign(diff)
+    return term, grad
 
 
 def _check_bundle(variant: LossVariant, gt: GroundTruthBundle) -> None:
@@ -284,64 +219,53 @@ def _check_bundle(variant: LossVariant, gt: GroundTruthBundle) -> None:
             )
 
 
-def _check_pred_shape(pred_shape: tuple[int, ...], gt: GroundTruthBundle) -> None:
-    if pred_shape[-2:] != gt.heatmap.shape:
+def _evaluate(
+    preds: np.ndarray, gt: GroundTruthBundle, cfg: LossConfig
+) -> tuple[float | np.ndarray, np.ndarray, bool]:
+    """Scaled loss values and gradients of predictions shaped ``(..., H, W)``.
+
+    Returns the value (a Python float for one 2-D prediction, else an array
+    over the leading axes), the gradient shaped like ``preds``, and whether
+    the object-count normalizer fell back to 1.
+    """
+    variant = cfg.variant
+    heat = gt.heatmap.values
+    if preds.shape[-2:] != heat.shape:
         raise DimensionMismatchError(
-            f"prediction shape {pred_shape[-2:]} does not match ground truth {gt.heatmap.shape}"
+            f"prediction shape {preds.shape[-2:]} does not match ground truth {heat.shape}"
         )
-
-
-def _scale(variant: LossVariant, gt: GroundTruthBundle, cfg: LossConfig) -> tuple[float, bool]:
-    if variant is LossVariant.FOCAL_SCALAR:
-        return -1.0, False
-    degenerate = gt.n_objects == 0
-    return -cfg.alpha / (1 if degenerate else gt.n_objects), degenerate
-
-
-def _evaluate(variant: LossVariant, pred: Grid, gt: GroundTruthBundle, cfg: LossConfig) -> LossResult:
-    _check_pred_shape(pred.shape, gt)
-    if not pred.is_unit_range():
-        raise ValidationError("prediction values must lie in [0, 1]")
+    if not ((preds >= 0.0) & (preds <= 1.0)).all():
+        raise ValidationError("prediction values must be finite and lie in [0, 1]")
     _check_bundle(variant, gt)
-    raw = pred.values
-    q = np.clip(raw, cfg.clamp, 1.0 - cfg.clamp)
-    pos = _positive_selector(variant, gt)
-    scale, degenerate = _scale(variant, gt, cfg)
-    value = scale * float(_TERMS[variant](q, gt.heatmap.values, pos, cfg).sum())
-    interior = (raw > cfg.clamp) & (raw < 1.0 - cfg.clamp)
-    grad = scale * _GRADS[variant](q, gt.heatmap.values, pos, cfg) * interior
-    return LossResult(value=value, grad=Grid(grad), degenerate_n=degenerate)
+    q = np.clip(preds, cfg.clamp, 1.0 - cfg.clamp)
+    eps1 = cfg.eps1 if variant in _POLY_VARIANTS else 0.0
+    if variant in _MASK_VARIANTS:
+        pos = gt.mask.values == 1.0
+        pos_term, pos_grad = _graded_branch(q, heat, cfg, eps1)
+    else:
+        pos = heat == 1.0
+        pos_term, pos_grad = _keypoint_branch(q, cfg.gamma, eps1)
+    term, grad = _background_branch(q, cfg.gamma, eps1)
+    if variant in _WEIGHTED_NEG_VARIANTS:
+        neg_w = np.power(1.0 - heat, cfg.beta)
+        term *= neg_w
+        grad *= neg_w
+    np.copyto(term, pos_term, where=pos)
+    np.copyto(grad, pos_grad, where=pos)
 
-
-def eval_alpha_focal(pred: Grid, gt: GroundTruthBundle, cfg: LossConfig) -> LossResult:
-    """Binary-feature-map focal loss: positives where the heatmap is 1."""
-    return _evaluate(LossVariant.ALPHA_FOCAL, pred, gt, cfg)
-
-
-def eval_heatmap_focal(pred: Grid, gt: GroundTruthBundle, cfg: LossConfig) -> LossResult:
-    """Keypoint focal loss with ``(1 - p)^beta`` down-weighted negatives."""
-    return _evaluate(LossVariant.HEATMAP_FOCAL, pred, gt, cfg)
-
-
-def eval_mask_focal(pred: Grid, gt: GroundTruthBundle, cfg: LossConfig) -> LossResult:
-    """Mask focal loss graded by the prediction error ``|p - q|`` inside the mask.
-
-    Requires mask=1 exactly where the heatmap is positive.
-    """
-    return _evaluate(LossVariant.MASK_FOCAL, pred, gt, cfg)
-
-
-def eval_poly1(pred: Grid, gt: GroundTruthBundle, cfg: LossConfig) -> LossResult:
-    """Poly-1 perturbed variants; ``cfg.variant`` picks the base family.
-
-    With ``eps1 = 0`` the result equals the base variant exactly; with the
-    default ``eps1 = 1`` the perturbation enters with unit coefficient.
-    """
-    if cfg.variant not in _POLY_VARIANTS:
-        raise ValidationError(
-            f"eval_poly1 requires POLY1_PIXELWISE or MASK_FOCAL_POLY1, got {cfg.variant.value}"
-        )
-    return _evaluate(cfg.variant, pred, gt, cfg)
+    degenerate = gt.n_objects == 0
+    if variant is LossVariant.FOCAL_SCALAR:
+        scale, degenerate = -1.0, False
+    else:
+        scale = -cfg.alpha / (1 if degenerate else gt.n_objects)
+    # One pairwise sum per flattened grid, so a stack slice and the same 2-D
+    # prediction sum identically.  The 2-D value is a Python float: an
+    # overflowing product then yields inf without a numpy warning.
+    total = term.reshape(preds.shape[:-2] + (heat.size,)).sum(axis=-1)
+    value = scale * (float(total) if total.ndim == 0 else total)
+    grad *= scale
+    grad *= (preds > cfg.clamp) & (preds < 1.0 - cfg.clamp)
+    return value, grad, degenerate
 
 
 def loss_with_grad(pred: Grid, gt: GroundTruthBundle, cfg: LossConfig) -> LossResult:
@@ -350,23 +274,14 @@ def loss_with_grad(pred: Grid, gt: GroundTruthBundle, cfg: LossConfig) -> LossRe
     The gradient is analytic and matches central finite differences of the
     value (step 1e-6) to 1e-6 relative at clamp-interior predictions.
     """
-    return _evaluate(cfg.variant, pred, gt, cfg)
+    value, grad, degenerate = _evaluate(pred.values, gt, cfg)
+    return LossResult(value=value, grad=Grid(grad), degenerate_n=degenerate)
 
 
 def batched_loss_values(preds: np.ndarray, gt: GroundTruthBundle, cfg: LossConfig) -> np.ndarray:
     """Loss values for a stack of prediction arrays of shape ``(..., H, W)``.
 
-    Vectorized value-only path sharing the per-pixel term definitions with
-    :func:`loss_with_grad`; used for parameter sweeps and finite-difference
-    verification.
+    Each value equals :func:`loss_with_grad` on the same 2-D slice bit for
+    bit; used for parameter sweeps and finite-difference verification.
     """
-    preds = np.asarray(preds, dtype=np.float64)
-    _check_pred_shape(preds.shape, gt)
-    if preds.min() < 0.0 or preds.max() > 1.0:
-        raise ValidationError("prediction values must lie in [0, 1]")
-    _check_bundle(cfg.variant, gt)
-    q = np.clip(preds, cfg.clamp, 1.0 - cfg.clamp)
-    pos = _positive_selector(cfg.variant, gt)
-    scale, _ = _scale(cfg.variant, gt, cfg)
-    terms = _TERMS[cfg.variant](q, gt.heatmap.values, pos, cfg)
-    return scale * terms.sum(axis=(-2, -1))
+    return _evaluate(np.asarray(preds, dtype=np.float64), gt, cfg)[0]

@@ -26,14 +26,11 @@ from heatloss import (
     SynthParams,
     compute_metrics,
     compute_sigma,
-    eval_alpha_focal,
-    eval_heatmap_focal,
-    eval_mask_focal,
-    eval_poly1,
     extract_peaks,
     fit_direct,
     focal_scalar,
     generate_scene,
+    loss_with_grad,
     sigma_from_sensing_factor,
 )
 from heatloss.cli import max_grad_deviation
@@ -104,9 +101,9 @@ def test_criterion_02_reduction_to_binary_focal():
     for _ in range(100):
         beta = float(rng.choice([0.0, 0.5, 1.0, 2.0, 4.0]))
         pred, gt, cfg = _random_binary_case(rng, beta)
-        base = eval_alpha_focal(pred, gt, cfg).value
-        heat_val = eval_heatmap_focal(pred, gt, replace(cfg, variant=LossVariant.HEATMAP_FOCAL)).value
-        mask_val = eval_mask_focal(
+        base = loss_with_grad(pred, gt, cfg).value
+        heat_val = loss_with_grad(pred, gt, replace(cfg, variant=LossVariant.HEATMAP_FOCAL)).value
+        mask_val = loss_with_grad(
             pred, gt, replace(cfg, variant=LossVariant.MASK_FOCAL, beta=0.0)
         ).value
         worst = max(worst, abs(heat_val - base), abs(mask_val - base))
@@ -123,8 +120,8 @@ def test_criterion_03_mask_reduces_to_heatmap_on_keypoints():
     for _ in range(100):
         beta = float(rng.choice([0.0, 0.5, 1.0, 2.0, 4.0]))
         pred, gt, cfg = _random_binary_case(rng, beta)
-        mask_val = eval_mask_focal(pred, gt, replace(cfg, variant=LossVariant.MASK_FOCAL)).value
-        heat_val = eval_heatmap_focal(pred, gt, replace(cfg, variant=LossVariant.HEATMAP_FOCAL)).value
+        mask_val = loss_with_grad(pred, gt, replace(cfg, variant=LossVariant.MASK_FOCAL)).value
+        heat_val = loss_with_grad(pred, gt, replace(cfg, variant=LossVariant.HEATMAP_FOCAL)).value
         worst = max(worst, abs(mask_val - heat_val))
     _report(
         "criterion 3 (mask loss reduces to heatmap loss with keypoint masks)",
@@ -136,18 +133,18 @@ def test_criterion_03_mask_reduces_to_heatmap_on_keypoints():
 def test_criterion_04_poly1_consistency():
     rng = np.random.default_rng(20240804)
     worst = 0.0
-    for poly, base_variant, base_eval in (
-        (LossVariant.MASK_FOCAL_POLY1, LossVariant.MASK_FOCAL, eval_mask_focal),
-        (LossVariant.POLY1_PIXELWISE, LossVariant.HEATMAP_FOCAL, eval_heatmap_focal),
+    for poly, base_variant in (
+        (LossVariant.MASK_FOCAL_POLY1, LossVariant.MASK_FOCAL),
+        (LossVariant.POLY1_PIXELWISE, LossVariant.HEATMAP_FOCAL),
     ):
         for _ in range(50):
             pred, gt, cfg = random_instance(base_variant, rng, size=16)
-            poly_val = eval_poly1(pred, gt, replace(cfg, variant=poly, eps1=0.0)).value
-            base_val = base_eval(pred, gt, replace(cfg, variant=base_variant)).value
+            poly_val = loss_with_grad(pred, gt, replace(cfg, variant=poly, eps1=0.0)).value
+            base_val = loss_with_grad(pred, gt, replace(cfg, variant=base_variant)).value
             worst = max(worst, abs(poly_val - base_val))
     gt = GroundTruthBundle(Grid(np.array([[0.5]])), Grid(np.array([[1.0]])), 1)
     cfg = LossConfig(LossVariant.MASK_FOCAL_POLY1, alpha=1.0, beta=0.5, gamma=4.0, eps1=1.0)
-    example = eval_poly1(Grid(np.array([[0.9]])), gt, cfg).value
+    example = loss_with_grad(Grid(np.array([[0.9]])), gt, cfg).value
     example_ok = abs(example - 0.0203181) <= 1e-6
     _report(
         "criterion 4 (poly-1 with eps1=0 equals base; worked value 0.0203181)",

@@ -21,9 +21,10 @@ def test_gradient_matches_central_differences(variant):
     assert worst <= 1e-6
 
 
-def test_batched_values_agree_with_single_evaluation():
+@pytest.mark.parametrize("variant", list(LossVariant))
+def test_batched_values_agree_with_single_evaluation(variant):
     rng = np.random.default_rng(61)
-    pred, gt, cfg = random_instance(LossVariant.MASK_FOCAL_POLY1, rng)
+    pred, gt, cfg = random_instance(variant, rng)
     batch = np.stack([pred.values, np.flipud(pred.values)])
     values = batched_loss_values(batch, gt, cfg)
     assert values[0] == loss_with_grad(pred, gt, cfg).value

@@ -14,10 +14,7 @@ from heatloss import (
     LossVariant,
     ScalarSample,
     ValidationError,
-    eval_alpha_focal,
-    eval_heatmap_focal,
-    eval_mask_focal,
-    eval_poly1,
+    batched_loss_values,
     focal_scalar,
     loss_with_grad,
 )
@@ -59,7 +56,7 @@ class TestAlphaFocal:
     def test_worked_value(self):
         gt = bundle([[1.0, 0.0]], [[1.0, 0.0]], 1)
         cfg = LossConfig(LossVariant.ALPHA_FOCAL, alpha=1, gamma=2)
-        got = eval_alpha_focal(grid([[0.9, 0.1]]), gt, cfg).value
+        got = loss_with_grad(grid([[0.9, 0.1]]), gt, cfg).value
         assert got == pytest.approx(-2.0 * (0.1**2) * math.log(0.9), rel=1e-12)
         assert got == pytest.approx(0.00210722, abs=1e-7)
 
@@ -69,7 +66,7 @@ class TestAlphaFocal:
         gt = bundle(heat, heat, 5)
         cfg = LossConfig(LossVariant.ALPHA_FOCAL, alpha=1.0, gamma=2.0)
         clamped = np.clip(heat, cfg.clamp, 1 - cfg.clamp)
-        value = eval_alpha_focal(Grid(clamped), gt, cfg).value
+        value = loss_with_grad(Grid(clamped), gt, cfg).value
         bound = 2 * cfg.alpha * cfg.clamp**cfg.gamma * abs(math.log(cfg.clamp)) * heat.size / 5
         assert 0 <= value <= bound
 
@@ -79,30 +76,30 @@ class TestAlphaFocal:
         pred = rng.uniform(0.01, 0.99, (8, 8))
         n = 4
         cfg = LossConfig(LossVariant.ALPHA_FOCAL, alpha=1.0, gamma=0.0)
-        got = eval_alpha_focal(Grid(pred), bundle(heat, heat, n), cfg).value
+        got = loss_with_grad(Grid(pred), bundle(heat, heat, n), cfg).value
         bce = -np.where(heat == 1.0, np.log(pred), np.log(1.0 - pred)).sum() / n
         assert got == pytest.approx(bce, abs=1e-12)
 
     def test_non_binary_ground_truth_rejected(self):
         gt = bundle([[0.5, 0.0]], [[1.0, 0.0]], 1)
         with pytest.raises(ValidationError):
-            eval_alpha_focal(grid([[0.5, 0.5]]), gt, LossConfig(LossVariant.ALPHA_FOCAL))
+            loss_with_grad(grid([[0.5, 0.5]]), gt, LossConfig(LossVariant.ALPHA_FOCAL))
 
     def test_zero_objects_sets_degenerate_flag(self):
         gt = bundle([[0.0, 0.0]], [[0.0, 0.0]], 0)
         cfg = LossConfig(LossVariant.ALPHA_FOCAL, alpha=2.0, gamma=2.0)
-        result = eval_alpha_focal(grid([[0.1, 0.2]]), gt, cfg)
+        result = loss_with_grad(grid([[0.1, 0.2]]), gt, cfg)
         assert result.degenerate_n
         # normalizer falls back to 1
         same = bundle([[0.0, 0.0]], [[0.0, 0.0]], 1)
-        assert result.value == eval_alpha_focal(grid([[0.1, 0.2]]), same, cfg).value
+        assert result.value == loss_with_grad(grid([[0.1, 0.2]]), same, cfg).value
 
 
 class TestHeatmapFocal:
     def test_worked_value(self):
         gt = bundle([[1.0, 0.5]], [[1.0, 1.0]], 1)
         cfg = LossConfig(LossVariant.HEATMAP_FOCAL, alpha=1, beta=4, gamma=2)
-        got = eval_heatmap_focal(grid([[0.9, 0.1]]), gt, cfg).value
+        got = loss_with_grad(grid([[0.9, 0.1]]), gt, cfg).value
         expected = -((0.1**2) * math.log(0.9) + (0.5**4) * (0.1**2) * math.log(0.9))
         assert got == pytest.approx(expected, rel=1e-9)
         assert got == pytest.approx(0.00111945, abs=1e-7)
@@ -114,8 +111,8 @@ class TestHeatmapFocal:
         gt = bundle(heat, heat, 3)
         for beta in (0.0, 1.0, 4.0):
             cfg = LossConfig(LossVariant.HEATMAP_FOCAL, alpha=1.0, beta=beta, gamma=2.0)
-            a = eval_heatmap_focal(pred, gt, cfg)
-            b = eval_alpha_focal(pred, gt, cfg)
+            a = loss_with_grad(pred, gt, cfg)
+            b = loss_with_grad(pred, gt, replace(cfg, variant=LossVariant.ALPHA_FOCAL))
             assert a.value == b.value
             np.testing.assert_array_equal(a.grad.values, b.grad.values)
 
@@ -125,9 +122,11 @@ class TestHeatmapFocal:
         heat[2, 3] = 1.0
         pred = Grid(rng.uniform(0.01, 0.99, (8, 8)))
         cfg = LossConfig(LossVariant.HEATMAP_FOCAL, alpha=1.0, beta=0.0, gamma=2.0)
-        got = eval_heatmap_focal(pred, bundle(heat, (heat > 0) * 1.0, 2), cfg).value
+        got = loss_with_grad(pred, bundle(heat, (heat > 0) * 1.0, 2), cfg).value
         relabelled = np.where(heat == 1.0, 1.0, 0.0)
-        oracle = eval_alpha_focal(pred, bundle(relabelled, relabelled, 2), cfg).value
+        oracle = loss_with_grad(
+            pred, bundle(relabelled, relabelled, 2), replace(cfg, variant=LossVariant.ALPHA_FOCAL)
+        ).value
         assert got == pytest.approx(oracle, abs=1e-12)
 
 
@@ -135,31 +134,31 @@ class TestMaskFocal:
     def test_zero_prediction_error_contributes_nothing(self):
         gt = bundle([[0.5]], [[1.0]], 1)
         cfg = LossConfig(LossVariant.MASK_FOCAL, alpha=1, beta=0.5, gamma=4)
-        assert eval_mask_focal(grid([[0.5]]), gt, cfg).value == 0.0
+        assert loss_with_grad(grid([[0.5]]), gt, cfg).value == 0.0
 
     def test_worked_positive_value(self):
         gt = bundle([[0.5]], [[1.0]], 1)
         cfg = LossConfig(LossVariant.MASK_FOCAL, alpha=1, beta=0.5, gamma=4)
-        got = eval_mask_focal(grid([[0.9]]), gt, cfg).value
+        got = loss_with_grad(grid([[0.9]]), gt, cfg).value
         assert got == pytest.approx(-math.sqrt(0.5) * 0.4**4 * math.log(0.6), rel=1e-9)
         assert got == pytest.approx(0.0092473, abs=1e-6)
 
     def test_worked_negative_value(self):
         gt = bundle([[0.0]], [[0.0]], 1)
         cfg = LossConfig(LossVariant.MASK_FOCAL, alpha=1, beta=0.5, gamma=4)
-        got = eval_mask_focal(grid([[0.1]]), gt, cfg).value
+        got = loss_with_grad(grid([[0.1]]), gt, cfg).value
         assert got == pytest.approx(-(0.1**4) * math.log(0.9), rel=1e-9)
         assert got == pytest.approx(1.0536e-5, abs=1e-9)
 
     def test_mask_heatmap_inconsistency_rejected(self):
         with pytest.raises(ValidationError):
-            eval_mask_focal(
+            loss_with_grad(
                 grid([[0.5, 0.5]]),
                 bundle([[0.5, 0.2]], [[1.0, 0.0]], 1),
                 LossConfig(LossVariant.MASK_FOCAL),
             )
         with pytest.raises(ValidationError):
-            eval_mask_focal(
+            loss_with_grad(
                 grid([[0.5, 0.5]]),
                 bundle([[0.5, 0.0]], [[1.0, 1.0]], 1),
                 LossConfig(LossVariant.MASK_FOCAL),
@@ -169,24 +168,24 @@ class TestMaskFocal:
         cfg = LossConfig(LossVariant.MASK_FOCAL, alpha=1.0, beta=0.8, gamma=2.0)
         gt = bundle([[0.7]], [[1.0]], 1)
         deltas = np.linspace(0.01, 0.29, 15)
-        values = [eval_mask_focal(grid([[0.7 + d]]), gt, cfg).value for d in deltas]
+        values = [loss_with_grad(grid([[0.7 + d]]), gt, cfg).value for d in deltas]
         assert all(a < b for a, b in zip(values, values[1:]))
         # gamma = 0 keeps monotonicity through the log term alone
         cfg0 = replace(cfg, gamma=0.0)
-        values = [eval_mask_focal(grid([[0.7 + d]]), gt, cfg0).value for d in deltas]
+        values = [loss_with_grad(grid([[0.7 + d]]), gt, cfg0).value for d in deltas]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_beta_weighting_non_increasing_for_partial_heat(self):
         gt = bundle([[0.6]], [[1.0]], 1)
         betas = (0.0, 0.5, 1.0, 2.0, 4.0)
         values = [
-            eval_mask_focal(grid([[0.9]]), gt, LossConfig(LossVariant.MASK_FOCAL, beta=b, gamma=2.0)).value
+            loss_with_grad(grid([[0.9]]), gt, LossConfig(LossVariant.MASK_FOCAL, beta=b, gamma=2.0)).value
             for b in betas
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
         gt_keypoint = bundle([[1.0]], [[1.0]], 1)
         values = [
-            eval_mask_focal(
+            loss_with_grad(
                 grid([[0.9]]), gt_keypoint, LossConfig(LossVariant.MASK_FOCAL, beta=b, gamma=2.0)
             ).value
             for b in betas
@@ -200,8 +199,8 @@ class TestMaskFocal:
         gt = bundle(heat, heat, 2)
         for beta in (0.0, 1.5, 4.0):
             cfg = LossConfig(LossVariant.MASK_FOCAL, alpha=1.0, beta=beta, gamma=3.0)
-            assert eval_mask_focal(pred, gt, cfg).value == pytest.approx(
-                eval_heatmap_focal(pred, gt, cfg).value, abs=1e-12
+            assert loss_with_grad(pred, gt, cfg).value == pytest.approx(
+                loss_with_grad(pred, gt, replace(cfg, variant=LossVariant.HEATMAP_FOCAL)).value, abs=1e-12
             )
 
 
@@ -209,27 +208,22 @@ class TestPoly1:
     def test_worked_value(self):
         gt = bundle([[0.5]], [[1.0]], 1)
         cfg = LossConfig(LossVariant.MASK_FOCAL_POLY1, alpha=1, beta=0.5, gamma=4, eps1=1)
-        got = eval_poly1(grid([[0.9]]), gt, cfg).value
+        got = loss_with_grad(grid([[0.9]]), gt, cfg).value
         expected = -(0.4**4 * math.log(0.6) - math.sqrt(0.5) * 0.4**5)
         assert got == pytest.approx(expected, rel=1e-9)
         assert got == pytest.approx(0.0203181, abs=1e-6)
 
     def test_zero_perturbation_equals_base_everywhere(self):
         rng = np.random.default_rng(41)
-        for variant, base_eval in (
-            (LossVariant.MASK_FOCAL_POLY1, eval_mask_focal),
-            (LossVariant.POLY1_PIXELWISE, eval_heatmap_focal),
+        for variant, base_variant in (
+            (LossVariant.MASK_FOCAL_POLY1, LossVariant.MASK_FOCAL),
+            (LossVariant.POLY1_PIXELWISE, LossVariant.HEATMAP_FOCAL),
         ):
-            base_variant = (
-                LossVariant.MASK_FOCAL
-                if variant is LossVariant.MASK_FOCAL_POLY1
-                else LossVariant.HEATMAP_FOCAL
-            )
             for _ in range(20):
                 pred, gt, cfg = random_instance(base_variant, rng, size=8)
                 poly_cfg = replace(cfg, variant=variant, eps1=0.0)
-                a = eval_poly1(pred, gt, poly_cfg)
-                b = base_eval(pred, gt, replace(cfg, variant=base_variant))
+                a = loss_with_grad(pred, gt, poly_cfg)
+                b = loss_with_grad(pred, gt, replace(cfg, variant=base_variant))
                 assert a.value == b.value
                 np.testing.assert_array_equal(a.grad.values, b.grad.values)
 
@@ -237,12 +231,7 @@ class TestPoly1:
         gt = bundle([[0.5]], [[1.0]], 1)
         for eps1 in (0.0, 0.5, 1.0, 2.0):
             cfg = LossConfig(LossVariant.MASK_FOCAL_POLY1, beta=0.5, gamma=4, eps1=eps1)
-            assert eval_poly1(grid([[0.5]]), gt, cfg).value == 0.0
-
-    def test_requires_poly_variant(self):
-        gt = bundle([[1.0]], [[1.0]], 1)
-        with pytest.raises(ValidationError):
-            eval_poly1(grid([[0.5]]), gt, LossConfig(LossVariant.MASK_FOCAL))
+            assert loss_with_grad(grid([[0.5]]), gt, cfg).value == 0.0
 
 
 class TestLossWithGrad:
@@ -284,8 +273,14 @@ class TestLossWithGrad:
 
     def test_out_of_range_prediction_rejected(self):
         gt = bundle([[1.0]], [[1.0]], 1)
+        cfg = LossConfig(LossVariant.ALPHA_FOCAL)
         with pytest.raises(ValidationError):
-            loss_with_grad(Grid(np.array([[1.5]])), gt, LossConfig(LossVariant.ALPHA_FOCAL))
+            loss_with_grad(Grid(np.array([[1.5]])), gt, cfg)
+        for bad in (1.5, -0.5, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValidationError):
+                batched_loss_values(np.array([[[0.5]], [[bad]]]), gt, cfg)
+        empty = batched_loss_values(np.empty((0, 1, 1)), gt, cfg)
+        assert empty.shape == (0,)
 
     def test_focal_scalar_grid_matches_scalar_sum(self):
         rng = np.random.default_rng(54)
