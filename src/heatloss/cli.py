@@ -48,6 +48,10 @@ _EXIT_CODES = {
 }
 
 
+class _GradCheckFailed(HeatlossError):
+    code = "GRAD_CHECK_FAILED"
+
+
 def _write_grid_auto(grid: Grid, path: str) -> None:
     if path.endswith(".csv"):
         write_grid_csv(grid, path)
@@ -170,7 +174,7 @@ def _cmd_grad_check(args: argparse.Namespace) -> int:
         }
     )
     if not ok:
-        _fail("GRAD_CHECK_FAILED", f"max relative deviation {worst:.3e} exceeds {GRAD_CHECK_TOLERANCE}")
+        raise _GradCheckFailed(f"max relative deviation {worst:.3e} exceeds {GRAD_CHECK_TOLERANCE}")
     return 0
 
 
@@ -263,8 +267,15 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, in subcommands too, become ``SCHEMA_ERROR`` failures."""
+
+    def error(self, message: str):
+        raise SchemaError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="heatloss", description=__doc__)
+    parser = _Parser(prog="heatloss", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("render-gt", help="render heatmap/mask/binary grids from an annotation")
@@ -349,23 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _CliFailure(Exception):
-    def __init__(self, code: str, message: str) -> None:
-        super().__init__(message)
-        self.code = code
-
-
-def _fail(code: str, message: str) -> None:
-    raise _CliFailure(code, message)
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except _CliFailure as exc:
-        code = exc.code
-        message = str(exc)
     except HeatlossError as exc:
         code = exc.code
         message = str(exc)

@@ -4,6 +4,12 @@ A detection is a pixel whose value equals the maximum of its
 ``window x window`` neighborhood (truncated at grid edges) and clears a
 confidence threshold; the number of peaks is the predicted count.
 
+A plateau (maximal 8-connected equal-value region, possibly running through
+non-candidates) yields one peak: candidates with an equal neighbor are
+visited in (y, x) order, and each one not yet reached is kept and floods its
+plateau, dropping the later candidates on it.  Only plateaus that hold
+candidates are flooded, never the whole grid.
+
 All functions are pure; per-image evaluation parallelizes trivially and the
 metric aggregation is order-independent.
 """
@@ -14,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ValidationError
 from .grid import Grid
@@ -51,55 +56,37 @@ class CountReport:
     m: int
 
 
-def _has_equal_neighbor(values: np.ndarray, subset: np.ndarray) -> bool:
-    """True when any ``subset`` pixel shares its value with an 8-neighbor."""
-    v, s = values, subset
-    pairs = (
-        (v[:, :-1], v[:, 1:], s[:, :-1], s[:, 1:]),
-        (v[:-1, :], v[1:, :], s[:-1, :], s[1:, :]),
-        (v[:-1, :-1], v[1:, 1:], s[:-1, :-1], s[1:, 1:]),
-        (v[:-1, 1:], v[1:, :-1], s[:-1, 1:], s[1:, :-1]),
-    )
-    return any(((a == b) & (sa | sb)).any() for a, b, sa, sb in pairs)
+def _window_max(values: np.ndarray, window: int) -> np.ndarray:
+    """Exact ``window x window`` max: ``window - 1`` in-place row and column folds."""
+    (h, w), r = values.shape, window // 2
+    out = np.full((h + 2 * r, w + 2 * r), -np.inf)
+    out[r : r + h, r : r + w] = values
+    for _ in range(window - 1):
+        np.maximum(out[:, :-1], out[:, 1:], out=out[:, :-1])
+        np.maximum(out[:-1], out[1:], out=out[:-1])
+    return out[:h, :w]
 
 
-def _plateau_roots(values: np.ndarray) -> np.ndarray:
-    """Label maximal 8-connected regions of equal value via union-find."""
-    h, w = values.shape
-    parent = list(range(h * w))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for y in range(h):
-        for x in range(w):
-            i = y * w + x
-            if x + 1 < w and values[y, x] == values[y, x + 1]:
-                union(i, i + 1)
-            if y + 1 < h:
-                if values[y, x] == values[y + 1, x]:
-                    union(i, i + w)
-                if x + 1 < w and values[y, x] == values[y + 1, x + 1]:
-                    union(i, i + w + 1)
-                if x - 1 >= 0 and values[y, x] == values[y + 1, x - 1]:
-                    union(i, i + w - 1)
-    return np.array([find(i) for i in range(h * w)])
+def _equal_neighbor_map(values: np.ndarray) -> np.ndarray:
+    """Per-pixel flag: the pixel shares its value with an 8-neighbor."""
+    tied = np.zeros(values.shape, dtype=bool)
+    for a, b in (
+        (np.s_[:, :-1], np.s_[:, 1:]),
+        (np.s_[:-1, :], np.s_[1:, :]),
+        (np.s_[:-1, :-1], np.s_[1:, 1:]),
+        (np.s_[:-1, 1:], np.s_[1:, :-1]),
+    ):
+        equal = values[a] == values[b]
+        tied[a] |= equal
+        tied[b] |= equal
+    return tied
 
 
 def extract_peaks(heatmap: Grid, window: int = DEFAULT_WINDOW, threshold: float = DEFAULT_THRESHOLD) -> PeakSet:
     """Select pixels that are neighborhood maxima at or above ``threshold``.
 
-    Edge neighborhoods are truncated.  When a plateau of equal values
-    qualifies, only its lexicographically smallest (y, x) pixel is kept, with
-    plateaus taken as maximal 8-connected equal-value regions.
+    Edge neighborhoods are truncated.  A qualifying plateau (maximal
+    8-connected equal-value region) keeps only its smallest (y, x) candidate.
     """
     if window < 3 or window % 2 == 0:
         raise ValidationError(f"window must be odd and >= 3, got {window}")
@@ -109,21 +96,30 @@ def extract_peaks(heatmap: Grid, window: int = DEFAULT_WINDOW, threshold: float 
         raise ValidationError("heatmap values must lie in [0, 1]")
 
     values = heatmap.values
-    neighborhood_max = ndimage.maximum_filter(values, size=window, mode="constant", cval=-np.inf)
-    candidates = (values == neighborhood_max) & (values >= threshold)
-    if not candidates.any():
-        return PeakSet(())
-
-    flat_idx = np.flatnonzero(candidates.ravel())  # ascending == (y, x) lexicographic
-    if _has_equal_neighbor(values, candidates):
-        roots = _plateau_roots(values)
-        kept: dict[int, int] = {}
-        for i in flat_idx:
-            root = int(roots[i])
-            if root not in kept:
-                kept[root] = int(i)
-        flat_idx = sorted(kept.values())
     h, w = values.shape
+    candidates = (values == _window_max(values, window)) & (values >= threshold)
+    # NaN border: it equals nothing, so the flood needs no bounds checks.
+    stride = w + 2
+    padded = np.full((h + 2, w + 2), np.nan)
+    padded[1:-1, 1:-1] = values
+    flat, seen = memoryview(padded.ravel()), bytearray(padded.size)
+    steps = (-stride - 1, -stride, -stride + 1, -1, 1, stride - 1, stride, stride + 1)
+    for y, x in zip(*np.nonzero(candidates & _equal_neighbor_map(values))):
+        start = (int(y) + 1) * stride + int(x) + 1
+        if seen[start]:
+            candidates[y, x] = False
+            continue
+        value = flat[start]
+        seen[start] = 1
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for step in steps:
+                j = i + step
+                if not seen[j] and flat[j] == value:
+                    seen[j] = 1
+                    stack.append(j)
+    flat_idx = np.flatnonzero(candidates)  # ascending == (y, x) lexicographic
     peaks = tuple(
         Peak(x=int(i % w), y=int(i // w), score=float(values.flat[i])) for i in flat_idx
     )

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.special import expit
 
 from .counting import count_image, compute_metrics, CountReport
 from .errors import NonFiniteLossError, PlacementError, ValidationError
@@ -29,6 +28,12 @@ from .losses import GroundTruthBundle, LossConfig, LossVariant, loss_with_grad
 
 _NOISE_STREAM = 2**32  # placement streams use 0..n_heads-1
 _PLACEMENT_ATTEMPTS = 1000
+
+
+def expit(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid; exactly 0.0 once ``exp(-x)`` overflows, 1.0 from x ~ 37."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 class InitMode(Enum):

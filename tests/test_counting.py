@@ -22,6 +22,13 @@ from heatloss import (
 from helpers import brute_force_peaks
 
 
+def tied_grids(rng, per_shape=10):
+    """Quantized grids (values k/4, so plateaus are common), square and thin."""
+    for shape in ((16, 16), (1, 16), (16, 1), (2, 16), (16, 2)):
+        for _ in range(per_shape):
+            yield rng.integers(0, 5, size=shape) / 4.0
+
+
 class TestExtractPeaks:
     def test_single_kernel_yields_single_center_peak(self):
         scene = SceneAnnotation(17, 17, (BoxAnnotation(8, 8, 5, 5),))
@@ -39,6 +46,9 @@ class TestExtractPeaks:
             got = extract_peaks(Grid(values), window=3, threshold=0.3)
             expected = brute_force_peaks(values, window=3, threshold=0.3)
             assert [(p.y, p.x) for p in got.peaks] == expected
+        for values in tied_grids(np.random.default_rng(75)):
+            got = extract_peaks(Grid(values), window=3, threshold=0.3)
+            assert [(p.y, p.x) for p in got.peaks] == brute_force_peaks(values, 3, 0.3)
 
     def test_matches_brute_force_for_larger_windows(self):
         rng = np.random.default_rng(72)
@@ -46,6 +56,10 @@ class TestExtractPeaks:
             values = rng.random((16, 16))
             got = extract_peaks(Grid(values), window=window, threshold=0.2)
             assert [(p.y, p.x) for p in got.peaks] == brute_force_peaks(values, window, 0.2)
+        for window in (3, 5, 7):
+            for values in tied_grids(np.random.default_rng(76 + window)):
+                got = extract_peaks(Grid(values), window=window, threshold=0.2)
+                assert [(p.y, p.x) for p in got.peaks] == brute_force_peaks(values, window, 0.2)
 
     def test_plateau_keeps_lexicographically_smallest(self):
         values = np.zeros((4, 5))

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,8 @@ from heatloss.cli import main
 from heatloss.serialization import dump_scene, load_scene
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -198,9 +204,51 @@ class TestGradCheckCommand:
         assert payload["max_relative_deviation"] <= 1e-6
 
     def test_seed_is_required(self, capsys):
+        code, _, err = run_cli(capsys, "grad-check", "--variant", "MASK_FOCAL")
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "SCHEMA_ERROR"
+        assert "--seed" in payload["message"]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["grad-check", "--variant", "NOPE", "--seed", "1"], "invalid choice"),
+            (["peaks", "--heatmap", "h.grid", "--window", "abc", "--out", "p.json"], "invalid int"),
+            (["peaks", "--heatmap", "h.grid"], "--out"),
+            (["no-such-command"], "invalid choice"),
+            ([], "command"),
+        ],
+    )
+    def test_usage_errors_emit_schema_error(self, capsys, argv, needle):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert set(payload) == {"error", "message"}
+        assert payload["error"] == "SCHEMA_ERROR"
+        assert needle in payload["message"]
+
+    def test_help_still_prints_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["grad-check", "--variant", "MASK_FOCAL"])
-        assert exc.value.code != 0
+            main(["peaks", "--help"])
+        assert exc.value.code == 0
+        assert "usage: heatloss peaks" in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_scipy():
+    probe = "import sys, heatloss.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestPeaksAndCountCommands:

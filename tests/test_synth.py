@@ -1,6 +1,7 @@
 """Synthetic scenes and the direct gradient-descent fitting harness."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from heatloss import (
     supervision_bundle,
 )
 from heatloss.grid import Grid
+from heatloss.synth import expit
 
 SIGMA = SigmaParams(eta=1.0, eps_sigma=3.0)
 
@@ -30,6 +32,20 @@ def small_scene(n_heads=3, seed=7):
     return generate_scene(
         SynthParams(seed=seed, width=48, height=48, n_heads=n_heads, min_center_gap=14.0)
     )
+
+
+class TestExpit:
+    def test_saturates_exactly_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = expit(np.array([-1000.0, 40.0]))
+        assert out[0] == 0.0 and out[1] == 1.0
+
+    def test_interior_matches_scalar_formula(self):
+        rng = np.random.default_rng(31)
+        x = np.concatenate([np.linspace(-40.0, 40.0, 4001), rng.uniform(-50.0, 50.0, 4000)])
+        ref = np.array([1.0 / (1.0 + math.exp(-v)) for v in x])
+        assert np.all(np.abs(expit(x) - ref) <= 2 * np.spacing(ref))
 
 
 class TestGenerateScene:
