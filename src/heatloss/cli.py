@@ -23,7 +23,7 @@ import numpy as np
 
 from . import serialization as ser
 from .counting import compute_metrics, extract_peaks
-from .errors import HeatlossError, SchemaError
+from .errors import HeatlossError, SchemaError, ValidationError
 from .grid import Grid, read_grid, read_grid_csv, write_grid, write_grid_csv
 from .ground_truth import SigmaParams, interpolate_boxes, render_heatmap, render_mask
 from .ground_truth import SceneAnnotation
@@ -147,6 +147,8 @@ def _grad_check_instances(variant: LossVariant, size: int, instances: int, seed:
 
 def max_grad_deviation(variant: LossVariant, size: int, instances: int, seed: int, step: float = 1e-6) -> float:
     """Max relative deviation between analytic gradients and central differences."""
+    if size < 1 or instances < 1 or seed < 0:
+        raise ValidationError(f"need size >= 1, instances >= 1, seed >= 0; got {size}, {instances}, {seed}")
     worst = 0.0
     eye = np.eye(size * size).reshape(size * size, size, size)
     for pred, bundle, cfg in _grad_check_instances(variant, size, instances, seed):
@@ -370,6 +372,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         code = "IO_ERROR"
         message = str(exc)
+    except MemoryError as exc:
+        code = "VALIDATION_ERROR"
+        message = f"out of memory: {exc}"
     print(json.dumps({"error": code, "message": message}), file=sys.stderr)
     return _EXIT_CODES.get(code, 1)
 

@@ -3,7 +3,8 @@
 Builds the three supervision targets used by the loss family:
 
 * Gaussian heatmap: per-pixel maximum over per-box kernels
-  ``exp(-(dx^2 + dy^2) / (2 sigma^2))``, value 1 at box centers.
+  ``exp(-(dx^2 + dy^2) / (2 sigma^2))``, value 1 at box centers, computed as
+  ``exp`` of the per-pixel least exponent (equal, as ``exp`` is monotone).
 * Area mask: 1 inside any box rectangle, 0 outside.
 * Binary feature map: identical to the area mask (every box-interior pixel
   is a positive with target value 1).
@@ -119,21 +120,19 @@ def render_heatmap(scene: SceneAnnotation, params: SigmaParams, stride: int = 1)
     Per box, a kernel centered at the stride-scaled box center with width
     from :func:`compute_sigma` on the stride-scaled box; kernels combine by
     element-wise maximum, so values stay in [0, 1] and equal 1 exactly at
-    centers that land on a pixel.  An empty scene yields an all-zero grid.
+    centers that land on a pixel.  The maximum is computed as ``exp`` of the
+    per-pixel least exponent; ``exp`` is monotone, so the two are equal.
     """
     out_h, out_w = _output_shape(scene, stride)
-    heat = np.zeros((out_h, out_w))
-    if not scene.boxes:
-        return Grid(heat)
     ys = np.arange(out_h, dtype=np.float64)[:, None]
     xs = np.arange(out_w, dtype=np.float64)[None, :]
+    least = np.full((out_h, out_w), np.inf)
     for box in scene.boxes:
         sigma = sigma_from_sensing_factor(2.0 * min(box.w, box.h) / stride + 1.0, params)
         dx = xs - box.cx / stride
         dy = ys - box.cy / stride
-        kernel = np.exp(-(dx * dx + dy * dy) / (2.0 * sigma * sigma))
-        np.maximum(heat, kernel, out=heat)
-    return Grid(heat)
+        np.minimum(least, (dx * dx + dy * dy) / (2.0 * sigma * sigma), out=least)
+    return Grid(np.exp(-least))  # exp is monotone: exp(-least) is the max of the kernels
 
 
 def render_mask(scene: SceneAnnotation, stride: int = 1) -> Grid:

@@ -22,7 +22,7 @@ from .synth import FitConfig, FitTrace, InitMode
 def _load_json(path: str | Path) -> Any:
     try:
         return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
 
 
@@ -195,7 +195,7 @@ def load_experiment_config(
     scenes = []
     for i, entry in enumerate(_require(obj, "scenes", list, where)):
         if isinstance(entry, dict) and set(entry) == {"file"}:
-            scenes.append(load_scene(base / entry["file"]))
+            scenes.append(load_scene(base / _require(entry, "file", str, f"{where}.scenes[{i}]")))
         else:
             scenes.append(scene_from_obj(entry, where=f"{where}.scenes[{i}]"))
     variants = [

@@ -92,6 +92,8 @@ class FitConfig:
             raise ValidationError(f"record_every must be >= 1, got {self.record_every}")
         if self.init is InitMode.SEEDED_NOISE and self.seed is None:
             raise ValidationError("SEEDED_NOISE initialization requires a seed")
+        if self.seed is not None and not (0 <= self.seed < 2**64):
+            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
 @dataclass(frozen=True)

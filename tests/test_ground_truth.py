@@ -60,6 +60,18 @@ def _single_box_scene(cx=8.0, cy=8.0, w=4.0, h=4.0, size=17):
     return SceneAnnotation(size, size, (BoxAnnotation(cx, cy, w, h),))
 
 
+def _per_box_maximum(scene, params, stride):
+    """Reference heatmap: one full-grid exp kernel per box, combined by maximum."""
+    out_h, out_w = -(-scene.height // stride), -(-scene.width // stride)
+    ys, xs = np.mgrid[0:out_h, 0:out_w].astype(float)
+    expected = np.zeros((out_h, out_w))
+    for box in scene.boxes:
+        s = sigma_from_sensing_factor(2.0 * min(box.w, box.h) / stride + 1.0, params)
+        dx, dy = xs - box.cx / stride, ys - box.cy / stride
+        expected = np.maximum(expected, np.exp(-(dx * dx + dy * dy) / (2 * s * s)))
+    return expected
+
+
 class TestRenderHeatmap:
     def test_center_pixel_is_one(self):
         heat = render_heatmap(_single_box_scene(), SigmaParams())
@@ -77,14 +89,29 @@ class TestRenderHeatmap:
             24, 20, (BoxAnnotation(6, 9, 5, 7), BoxAnnotation(11, 10, 8, 6))
         )
         params = SigmaParams(eta=1.0, eps_sigma=3.0)
-        heat = render_heatmap(scene, params)
-        ys, xs = np.mgrid[0:20, 0:24].astype(float)
-        expected = np.zeros((20, 24))
-        for box in scene.boxes:
-            s = compute_sigma(box, params)
-            k = np.exp(-((xs - box.cx) ** 2 + (ys - box.cy) ** 2) / (2 * s * s))
-            expected = np.maximum(expected, k)
-        np.testing.assert_array_equal(heat.values, expected)
+        np.testing.assert_array_equal(
+            render_heatmap(scene, params).values, _per_box_maximum(scene, params, 1)
+        )
+        # up to 60 overlapping kernels: the renderer takes exp of the least
+        # exponent, which must equal the per-box maximum bit for bit
+        rng = np.random.default_rng(5)
+        for trial in range(12):
+            width, height = int(rng.integers(8, 49)), int(rng.integers(8, 49))
+            boxes = []
+            for _ in range(int(rng.integers(0, 61))):
+                if trial % 2 == 0:
+                    cx, cy = float(rng.integers(0, width)), float(rng.integers(0, height))
+                else:
+                    cx, cy = float(rng.uniform(0, width)), float(rng.uniform(0, height))
+                boxes.append(BoxAnnotation(cx, cy, float(rng.uniform(1, 16)), float(rng.uniform(1, 16))))
+            scene = SceneAnnotation(width, height, tuple(boxes))
+            params = SigmaParams(eta=float(rng.choice([0.0, 1.0, 3.0])),
+                                 eps_sigma=float(rng.choice([0.5, 3.0, 10.0])))
+            for stride in (1, 2, 3):
+                np.testing.assert_array_equal(
+                    render_heatmap(scene, params, stride).values,
+                    _per_box_maximum(scene, params, stride),
+                )
 
     def test_values_in_unit_range(self):
         rng = np.random.default_rng(7)

@@ -34,6 +34,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def error_payload(err):
+    """The JSON error object on stderr; it has exactly the two contract keys."""
+    payload = json.loads(err)
+    assert set(payload) == {"error", "message"}
+    return payload
+
+
 def write_scene(path, width=32, height=32, boxes=((16.0, 16.0, 6.0, 6.0),)):
     scene = SceneAnnotation(width, height, tuple(BoxAnnotation(*b) for b in boxes))
     dump_scene(scene, path)
@@ -87,6 +94,45 @@ class TestAnnotationJson:
         path.write_text(json.dumps({"width": 8, "height": 8, "boxes": [{"cx": 1, "cy": 1, "w": 2}]}))
         with pytest.raises(SchemaError, match="'h'"):
             load_scene(path)
+
+
+class TestUnreadableJson:
+    @pytest.mark.parametrize(
+        "content, command",
+        [
+            (b"\xff\xfe{}", "render-gt"),  # not UTF-8
+            (b"[" * 100000, "render-gt"),  # nested past the recursion limit
+            (json.dumps({"scenes": [{"file": 123}]}).encode(), "experiment"),
+        ],
+        ids=["non-utf8", "deep-nesting", "scene-file-not-a-string"],
+    )
+    def test_schema_error_not_traceback(self, tmp_path, capsys, content, command):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        if command == "render-gt":
+            argv = ["render-gt", "--annotation", str(path), "--heatmap-out", str(tmp_path / "h.grid")]
+        else:
+            argv = ["experiment", "--config", str(path), "--seed", "1", "--out", str(tmp_path / "r.json")]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert error_payload(err)["error"] == "SCHEMA_ERROR"
+
+
+class TestOutOfMemory:
+    def test_memory_error_becomes_validation_error(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.00 TiB for an array")
+
+        monkeypatch.setattr("heatloss.cli.render_mask", no_memory)
+        ann = tmp_path / "scene.json"
+        write_scene(ann)
+        code, out, err = run_cli(
+            capsys, "render-gt", "--annotation", str(ann), "--mask-out", str(tmp_path / "m.grid")
+        )
+        assert code == 4 and out == ""
+        payload = error_payload(err)
+        assert payload["error"] == "VALIDATION_ERROR"
+        assert payload["message"].startswith("out of memory: Unable to allocate")
 
 
 class TestRenderGtCommand:
@@ -211,6 +257,16 @@ class TestGradCheckCommand:
         assert "--seed" in payload["message"]
 
 
+    @pytest.mark.parametrize(
+        "option, value", [("--size", "-1"), ("--size", "0"), ("--seed", "-1"), ("--instances", "0")]
+    )
+    def test_bad_arguments_rejected(self, capsys, option, value):
+        args = {"--variant": "MASK_FOCAL", "--size": "4", "--seed": "1", "--instances": "2", option: value}
+        code, out, err = run_cli(capsys, "grad-check", *(x for pair in args.items() for x in pair))
+        assert code == 4 and out == ""
+        assert error_payload(err)["error"] == "VALIDATION_ERROR"
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv, needle",
@@ -324,6 +380,22 @@ class TestSynthFitExperimentCommands:
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
         assert (trace_p.read_bytes(), pred_p.read_bytes()) == first_bytes
+
+    @pytest.mark.parametrize(
+        "init, seed", [("SEEDED_NOISE", "-1"), ("UNIFORM_HALF", "-5"), ("ZEROS_LOGIT", str(2**64))]
+    )
+    def test_fit_seed_outside_64_bit_range_rejected(self, tmp_path, capsys, init, seed):
+        ann = tmp_path / "scene.json"
+        write_scene(ann, width=8, height=8, boxes=((4.0, 4.0, 3.0, 3.0),))
+        cfg = tmp_path / "loss.json"
+        cfg.write_text(json.dumps({"variant": "MASK_FOCAL"}))
+        code, out, err = run_cli(
+            capsys, "fit", "--annotation", str(ann), "--loss-config", str(cfg), "--steps", "1",
+            "--learning-rate", "0.5", "--init", init, "--seed", seed,
+        )
+        assert code == 4 and out == ""
+        payload = error_payload(err)
+        assert payload["error"] == "VALIDATION_ERROR" and "64-bit" in payload["message"]
 
     def test_experiment_report(self, tmp_path, capsys, monkeypatch):
         scene_p = tmp_path / "scene.json"
