@@ -25,6 +25,17 @@ Predictions are clamped to ``[clamp, 1 - clamp]`` before any logarithm, and
 active and use subgradient 0 at the ``dp = 0`` kink.  Natural logarithms
 throughout.  Sums use numpy's pairwise reduction over row-major pixels, so
 results are bit-reproducible.
+
+Every evaluation goes through a :class:`LossStep`, the loss prepared against
+one bundle for one prediction shape.  Preparing checks the bundle, gathers
+the positive pixels with their heatmap values, and computes the constant
+weight and the scale.  Each call clips the prediction and runs the
+background branch over the whole grid in buffers the step owns, one ufunc
+at a time in the operation order of the formula, so no grid-sized temporary
+is made and the result is the formula's bit for bit.  The positive branch
+runs on the gathered pixels only and is scattered back.
+``fit_direct`` prepares one step per fit and reuses it on every iteration;
+:func:`loss_with_grad` and :func:`batched_loss_values` prepare one per call.
 """
 
 from __future__ import annotations
@@ -147,9 +158,12 @@ def focal_scalar(sample: ScalarSample, gamma: float, clamp: float = 1e-4) -> flo
 
 
 # --- branch kernels -----------------------------------------------------------
-# Each returns the per-pixel term and its derivative in q together, sharing the
+# Each gives the per-pixel term and its derivative in q together, sharing the
 # power and logarithm between them.  The eps1 polynomial term is skipped at
 # eps1 = 0, so a poly-1 variant there runs exactly the arithmetic of its base.
+# The keypoint and graded kernels run on the gathered positive pixels and
+# return new arrays; the background kernel runs on the whole grid and writes
+# into the step's buffers.
 
 
 def _keypoint_branch(q: np.ndarray, gamma: float, eps1: float) -> tuple[np.ndarray, np.ndarray]:
@@ -165,43 +179,62 @@ def _keypoint_branch(q: np.ndarray, gamma: float, eps1: float) -> tuple[np.ndarr
     return term, grad
 
 
-def _background_branch(q: np.ndarray, gamma: float, eps1: float) -> tuple[np.ndarray, np.ndarray]:
-    """``q^g ln(1-q) - eps1 q^(g+1)`` and its derivative in ``q``."""
-    pg = np.power(q, gamma)
-    log_u = np.log1p(-q)
-    term = pg * log_u
-    grad = pg * (gamma * log_u / q - 1.0 / (1.0 - q))
+def _background_branch(
+    q: np.ndarray,
+    gamma: float,
+    eps1: float,
+    pg: np.ndarray,
+    log_u: np.ndarray,
+    term: np.ndarray,
+    grad: np.ndarray,
+) -> None:
+    """``q^g ln(1-q) - eps1 q^(g+1)`` and its derivative in ``q``, into ``term`` and ``grad``.
+
+    ``pg`` and ``log_u`` are scratch buffers shaped like ``q``.  One ufunc
+    at a time, in the operation order of ``pg * (g ln(1-q) / q - 1 / (1-q))``.
+    """
+    np.power(q, gamma, out=pg)
+    np.log1p(np.negative(q, out=log_u), out=log_u)
+    np.multiply(pg, log_u, out=term)
+    np.multiply(gamma, log_u, out=log_u)
+    np.divide(log_u, q, out=log_u)
+    np.subtract(1.0, q, out=grad)
+    np.divide(1.0, grad, out=grad)
+    np.subtract(log_u, grad, out=grad)
+    np.multiply(pg, grad, out=grad)
     if eps1 != 0.0:
-        term -= eps1 * pg * q
-        grad -= eps1 * (gamma + 1.0) * pg
-    return term, grad
+        np.multiply(eps1, pg, out=log_u)
+        np.multiply(log_u, q, out=log_u)
+        np.subtract(term, log_u, out=term)
+        np.multiply(eps1 * (gamma + 1.0), pg, out=log_u)
+        np.subtract(grad, log_u, out=grad)
 
 
 def _graded_branch(
-    q: np.ndarray, heat: np.ndarray, cfg: LossConfig, eps1: float
+    q: np.ndarray, heat: np.ndarray, pb: np.ndarray, gamma: float, clamp: float, eps1: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """``w dp^g ln(1-dp) - eps1 p^b dp^(g+1)`` and its derivative in ``q``.
 
-    ``dp = |p - q|`` is capped below ``1 - clamp``.  ``w = (1 - eps1) p^b + eps1``
-    moves the ``p^b`` weight from the log term (eps1 = 0, the mask focal loss)
-    onto the polynomial term (eps1 = 1, the unit-coefficient poly-1 form).
+    ``dp = |p - q|`` is capped below ``1 - clamp``, and ``pb = p^b``.
+    ``w = (1 - eps1) p^b + eps1`` moves the ``p^b`` weight from the log term
+    (eps1 = 0, the mask focal loss) onto the polynomial term (eps1 = 1, the
+    unit-coefficient poly-1 form).
     """
     diff = q - heat
-    dp = np.minimum(np.abs(diff), 1.0 - cfg.clamp)
-    pg = np.power(dp, cfg.gamma)
+    dp = np.minimum(np.abs(diff), 1.0 - clamp)
+    pg = np.power(dp, gamma)
     log_v = np.log1p(-dp)
-    pb = np.power(heat, cfg.beta)
     term = pg * log_v
     # dp^(g-1) = pg / dp; at the dp = 0 kink sign(diff) = 0 below is the chosen
     # subgradient, and dividing by 1 there keeps 0 / 0 out of it.
-    grad = cfg.gamma * pg / np.where(dp == 0.0, 1.0, dp) * log_v - pg / (1.0 - dp)
+    grad = gamma * pg / np.where(dp == 0.0, 1.0, dp) * log_v - pg / (1.0 - dp)
     if eps1 == 0.0:
         term *= pb
         grad *= pb
     else:
         w = (1.0 - eps1) * pb + eps1
         term = w * term - eps1 * pb * pg * dp
-        grad = w * grad - eps1 * (cfg.gamma + 1.0) * pb * pg
+        grad = w * grad - eps1 * (gamma + 1.0) * pb * pg
     grad *= np.sign(diff)
     return term, grad
 
@@ -219,53 +252,81 @@ def _check_bundle(variant: LossVariant, gt: GroundTruthBundle) -> None:
             )
 
 
-def _evaluate(
-    preds: np.ndarray, gt: GroundTruthBundle, cfg: LossConfig
-) -> tuple[float | np.ndarray, np.ndarray, bool]:
-    """Scaled loss values and gradients of predictions shaped ``(..., H, W)``.
+class LossStep:
+    """``cfg`` against ``gt``, prepared for predictions shaped ``shape`` = ``(..., H, W)``.
 
-    Returns the value (a Python float for one 2-D prediction, else an array
-    over the leading axes), the gradient shaped like ``preds``, and whether
-    the object-count normalizer fell back to 1.
+    Preparing does, once, the work that does not depend on the prediction:
+    it checks the bundle against the variant, gathers the positive pixels
+    and their heatmap values, computes the constant ``p^b`` or ``(1 - p)^b``
+    weight and the scale, and allocates the grid-sized buffers that every
+    call writes into.  A fit prepares one step and calls it on every
+    iteration.  The buffers make a step unsafe to share between threads.
     """
-    variant = cfg.variant
-    heat = gt.heatmap.values
-    if preds.shape[-2:] != heat.shape:
-        raise DimensionMismatchError(
-            f"prediction shape {preds.shape[-2:]} does not match ground truth {heat.shape}"
-        )
-    if not ((preds >= 0.0) & (preds <= 1.0)).all():
-        raise ValidationError("prediction values must be finite and lie in [0, 1]")
-    _check_bundle(variant, gt)
-    q = np.clip(preds, cfg.clamp, 1.0 - cfg.clamp)
-    eps1 = cfg.eps1 if variant in _POLY_VARIANTS else 0.0
-    if variant in _MASK_VARIANTS:
-        pos = gt.mask.values == 1.0
-        pos_term, pos_grad = _graded_branch(q, heat, cfg, eps1)
-    else:
-        pos = heat == 1.0
-        pos_term, pos_grad = _keypoint_branch(q, cfg.gamma, eps1)
-    term, grad = _background_branch(q, cfg.gamma, eps1)
-    if variant in _WEIGHTED_NEG_VARIANTS:
-        neg_w = np.power(1.0 - heat, cfg.beta)
-        term *= neg_w
-        grad *= neg_w
-    np.copyto(term, pos_term, where=pos)
-    np.copyto(grad, pos_grad, where=pos)
 
-    degenerate = gt.n_objects == 0
-    if variant is LossVariant.FOCAL_SCALAR:
-        scale, degenerate = -1.0, False
-    else:
-        scale = -cfg.alpha / (1 if degenerate else gt.n_objects)
-    # One pairwise sum per flattened grid, so a stack slice and the same 2-D
-    # prediction sum identically.  The 2-D value is a Python float: an
-    # overflowing product then yields inf without a numpy warning.
-    total = term.reshape(preds.shape[:-2] + (heat.size,)).sum(axis=-1)
-    value = scale * (float(total) if total.ndim == 0 else total)
-    grad *= scale
-    grad *= (preds > cfg.clamp) & (preds < 1.0 - cfg.clamp)
-    return value, grad, degenerate
+    def __init__(self, gt: GroundTruthBundle, cfg: LossConfig, shape: tuple[int, ...]) -> None:
+        variant = cfg.variant
+        heat = gt.heatmap.values
+        if tuple(shape[-2:]) != heat.shape:
+            raise DimensionMismatchError(
+                f"prediction shape {tuple(shape[-2:])} does not match ground truth {heat.shape}"
+            )
+        _check_bundle(variant, gt)
+        self._cfg = cfg
+        self._eps1 = cfg.eps1 if variant in _POLY_VARIANTS else 0.0
+        self._graded = variant in _MASK_VARIANTS
+        pos = gt.mask.values == 1.0 if self._graded else heat == 1.0
+        self._pos = np.flatnonzero(pos)
+        self._heat_pos = heat.ravel()[self._pos]
+        self._pos_weight = np.power(self._heat_pos, cfg.beta) if self._graded else None
+        self._neg_weight = (
+            np.power(1.0 - heat, cfg.beta) if variant in _WEIGHTED_NEG_VARIANTS else None
+        )
+        self.degenerate = gt.n_objects == 0
+        if variant is LossVariant.FOCAL_SCALAR:
+            self._scale, self.degenerate = -1.0, False
+        else:
+            self._scale = -cfg.alpha / (1 if self.degenerate else gt.n_objects)
+        self._rows = (-1, heat.size)
+        self._sums = tuple(shape[:-2]) + (heat.size,)
+        self._q, self._pg, self._scratch, self._term, self._grad = (np.empty(shape) for _ in range(5))
+        self._inside, self._below = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+
+    def __call__(self, preds: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+        """Scaled loss value and gradient of ``preds``.
+
+        The value is a Python float for one 2-D prediction, else an array
+        over the leading axes.  The gradient is the step's own buffer, valid
+        until the next call.
+        """
+        if preds.size and not (preds.min() >= 0.0 and preds.max() <= 1.0):
+            raise ValidationError("prediction values must be finite and lie in [0, 1]")
+        cfg, q, term, grad = self._cfg, self._q, self._term, self._grad
+        lo, hi = cfg.clamp, 1.0 - cfg.clamp
+        np.clip(preds, lo, hi, out=q)
+        _background_branch(q, cfg.gamma, self._eps1, self._pg, self._scratch, term, grad)
+        if self._neg_weight is not None:
+            term *= self._neg_weight
+            grad *= self._neg_weight
+        q_pos = q.reshape(self._rows)[:, self._pos]
+        if self._graded:
+            pos_term, pos_grad = _graded_branch(
+                q_pos, self._heat_pos, self._pos_weight, cfg.gamma, cfg.clamp, self._eps1
+            )
+        else:
+            pos_term, pos_grad = _keypoint_branch(q_pos, cfg.gamma, self._eps1)
+        term.reshape(self._rows)[:, self._pos] = pos_term
+        grad.reshape(self._rows)[:, self._pos] = pos_grad
+
+        # One pairwise sum per flattened grid, so a stack slice and the same 2-D
+        # prediction sum identically.  The 2-D value is a Python float: an
+        # overflowing product then yields inf without a numpy warning.
+        total = term.reshape(self._sums).sum(axis=-1)
+        value = self._scale * (float(total) if total.ndim == 0 else total)
+        grad *= self._scale
+        np.greater(preds, lo, out=self._inside)
+        self._inside &= np.less(preds, hi, out=self._below)
+        grad *= self._inside
+        return value, grad
 
 
 def loss_with_grad(pred: Grid, gt: GroundTruthBundle, cfg: LossConfig) -> LossResult:
@@ -274,8 +335,9 @@ def loss_with_grad(pred: Grid, gt: GroundTruthBundle, cfg: LossConfig) -> LossRe
     The gradient is analytic and matches central finite differences of the
     value (step 1e-6) to 1e-6 relative at clamp-interior predictions.
     """
-    value, grad, degenerate = _evaluate(pred.values, gt, cfg)
-    return LossResult(value=value, grad=Grid(grad), degenerate_n=degenerate)
+    step = LossStep(gt, cfg, pred.shape)
+    value, grad = step(pred.values)
+    return LossResult(value=value, grad=Grid(grad), degenerate_n=step.degenerate)
 
 
 def batched_loss_values(preds: np.ndarray, gt: GroundTruthBundle, cfg: LossConfig) -> np.ndarray:
@@ -284,4 +346,5 @@ def batched_loss_values(preds: np.ndarray, gt: GroundTruthBundle, cfg: LossConfi
     Each value equals :func:`loss_with_grad` on the same 2-D slice bit for
     bit; used for parameter sweeps and finite-difference verification.
     """
-    return _evaluate(np.asarray(preds, dtype=np.float64), gt, cfg)[0]
+    preds = np.asarray(preds, dtype=np.float64)
+    return LossStep(gt, cfg, preds.shape)(preds)[0]

@@ -24,7 +24,9 @@ from .errors import NonFiniteLossError, PlacementError, ValidationError
 from .grid import Grid
 from .ground_truth import BoxAnnotation, SceneAnnotation, SigmaParams
 from .ground_truth import render_binary_map, render_heatmap, render_mask
-from .losses import GroundTruthBundle, LossConfig, LossVariant, loss_with_grad
+from .losses import GroundTruthBundle, LossConfig, LossStep, LossVariant
+# perfbench/tracing.py wraps ``heatloss.synth.loss_with_grad`` by name
+from .losses import loss_with_grad  # noqa: F401
 
 _NOISE_STREAM = 2**32  # placement streams use 0..n_heads-1
 _PLACEMENT_ATTEMPTS = 1000
@@ -32,8 +34,16 @@ _PLACEMENT_ATTEMPTS = 1000
 
 def expit(x: np.ndarray) -> np.ndarray:
     """Logistic sigmoid; exactly 0.0 once ``exp(-x)`` overflows, 1.0 from x ~ 37."""
+    return _expit_into(x, np.empty(np.shape(x)))
+
+
+def _expit_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-x))`` written into ``out``, one ufunc at a time."""
+    np.negative(x, out=out)
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        np.exp(out, out=out)
+    np.add(1.0, out, out=out)
+    return np.divide(1.0, out, out=out)
 
 
 class InitMode(Enum):
@@ -189,22 +199,38 @@ def fit_direct(scene: SceneAnnotation, sigma: SigmaParams, cfg: FitConfig) -> Fi
     The prediction is ``sigmoid(theta)``; each step applies
     ``theta -= lr * dL/dpred * pred * (1 - pred)``.  The loss is recorded at
     step 1 and every ``record_every`` steps thereafter, before the update, so
-    the first entry is the initialization loss.
+    the first entry is the initialization loss.  The loss is prepared once
+    per fit; the sigmoid, the loss and the update write into buffers the fit
+    owns, and only the loss's positive branch allocates, over its own pixels.
     """
     bundle = supervision_bundle(scene, sigma, cfg.loss.variant)
     theta = _initial_logits(bundle.heatmap.shape, cfg)
+    loss_step = LossStep(bundle, cfg.loss, theta.shape)
+    pred, one_minus = np.empty_like(theta), np.empty_like(theta)
     losses: list[tuple[int, float]] = []
     for step in range(1, cfg.steps + 1):
-        pred = expit(theta)
-        result = loss_with_grad(Grid(pred), bundle, cfg.loss)
-        if not math.isfinite(result.value):
+        value, grad = loss_step(_expit_into(theta, pred))
+        if not (math.isfinite(grad.min()) and math.isfinite(grad.max())):
+            raise ValidationError(f"loss gradient became non-finite at step {step}")
+        if not math.isfinite(value):
             raise NonFiniteLossError(
                 f"loss became non-finite at step {step}; the learning rate "
                 f"{cfg.learning_rate} is likely too large"
             )
         if (step - 1) % cfg.record_every == 0:
-            losses.append((step, result.value))
-        theta -= cfg.learning_rate * result.grad.values * pred * (1.0 - pred)
+            losses.append((step, value))
+        # theta -= lr * grad * pred * (1 - pred), in that order, in grad's buffer
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                np.multiply(cfg.learning_rate, grad, out=grad)
+                np.multiply(grad, pred, out=grad)
+                np.multiply(grad, np.subtract(1.0, pred, out=one_minus), out=grad)
+                np.subtract(theta, grad, out=theta)
+        except FloatingPointError:
+            raise NonFiniteLossError(
+                f"the logit update overflowed at step {step}; the learning rate "
+                f"{cfg.learning_rate} is too large"
+            ) from None
     final_pred = Grid(expit(theta))
     return FitTrace(
         losses=tuple(losses),

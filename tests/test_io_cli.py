@@ -381,6 +381,25 @@ class TestSynthFitExperimentCommands:
         assert code == 0
         assert (trace_p.read_bytes(), pred_p.read_bytes()) == first_bytes
 
+    def test_fit_overflowing_learning_rate_is_non_finite_loss(self, tmp_path):
+        ann = tmp_path / "scene.json"
+        write_scene(ann, width=24, height=24, boxes=((12.0, 12.0, 6.0, 6.0),))
+        cfg = tmp_path / "loss.json"
+        cfg.write_text(json.dumps({"variant": "FOCAL_SCALAR"}))
+        pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "heatloss.cli", "fit", "--annotation", str(ann),
+             "--loss-config", str(cfg), "--steps", "5", "--learning-rate", "1.7e308", "--seed", "0"],
+            env={**os.environ, "PYTHONPATH": pythonpath},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 6 and result.stdout == ""
+        assert "RuntimeWarning" not in result.stderr
+        payload = error_payload(result.stderr)
+        assert payload["error"] == "NON_FINITE_LOSS" and "1.7e+308" in payload["message"]
+
     @pytest.mark.parametrize(
         "init, seed", [("SEEDED_NOISE", "-1"), ("UNIFORM_HALF", "-5"), ("ZEROS_LOGIT", str(2**64))]
     )

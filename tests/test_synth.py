@@ -24,6 +24,7 @@ from heatloss import (
 )
 from heatloss.grid import Grid
 from heatloss.synth import expit
+from helpers import reference_fit
 
 SIGMA = SigmaParams(eta=1.0, eps_sigma=3.0)
 
@@ -114,6 +115,24 @@ class TestSupervisionBundle:
         assert (bundle.heatmap.values == 1.0).sum() == len(scene.boxes)
 
 
+# (height, width, heads) of the scenes, and the losses, that fits are compared on
+REFERENCE_SCENES = [(64, 64, 5), (13, 29, 2), (1, 17, 1), (24, 24, 0)]
+REFERENCE_LOSSES = [
+    LossConfig(LossVariant.FOCAL_SCALAR, gamma=2.0),
+    LossConfig(LossVariant.ALPHA_FOCAL, alpha=0.5, gamma=2.0),
+    LossConfig(LossVariant.HEATMAP_FOCAL, beta=4.0, gamma=2.0),
+    LossConfig(LossVariant.MASK_FOCAL, beta=0.5, gamma=4.0),
+    *(
+        LossConfig(variant, beta=beta, gamma=gamma, eps1=eps1)
+        for variant, beta, gamma in (
+            (LossVariant.POLY1_PIXELWISE, 4.0, 2.0),
+            (LossVariant.MASK_FOCAL_POLY1, 0.5, 4.0),
+        )
+        for eps1 in (0.0, 0.5)
+    ),
+]
+
+
 class TestFitDirect:
     def test_trace_length_contract(self):
         scene = small_scene(n_heads=1)
@@ -170,6 +189,27 @@ class TestFitDirect:
         )
         with pytest.raises(NonFiniteLossError, match="learning rate"):
             fit_direct(scene, SIGMA, cfg)
+
+    def test_overflowing_update_aborts_with_diagnostic(self):
+        scene = small_scene(n_heads=2)
+        cfg = FitConfig(
+            loss=LossConfig(LossVariant.FOCAL_SCALAR, gamma=2.0), steps=5, learning_rate=1.7e308
+        )
+        with pytest.raises(NonFiniteLossError, match=r"learning rate 1\.7e\+308"):
+            fit_direct(scene, SIGMA, cfg)
+
+    @pytest.mark.parametrize("init", [InitMode.UNIFORM_HALF, InitMode.SEEDED_NOISE], ids=lambda m: m.value)
+    @pytest.mark.parametrize("scene_shape", REFERENCE_SCENES, ids=lambda s: "%dx%d_%d_heads" % s)
+    @pytest.mark.parametrize("loss", REFERENCE_LOSSES, ids=lambda c: f"{c.variant.value}_eps1_{c.eps1}")
+    def test_matches_reference_loop(self, loss, scene_shape, init):
+        height, width, heads = scene_shape
+        scene = generate_scene(SynthParams(seed=11, width=width, height=height, n_heads=heads))
+        cfg = FitConfig(loss=loss, steps=40, learning_rate=0.5, init=init, record_every=3, seed=5)
+        trace = fit_direct(scene, SIGMA, cfg)
+        losses, final_pred, final_count = reference_fit(scene, SIGMA, cfg)
+        assert trace.losses == losses
+        assert trace.final_pred.values.tobytes() == final_pred.values.tobytes()
+        assert trace.final_count == final_count
 
     def test_recorded_losses_non_increasing_at_pinned_configuration(self):
         scene = generate_scene(
