@@ -33,9 +33,17 @@ weight and the scale.  Each call clips the prediction and runs the
 background branch over the whole grid in buffers the step owns, one ufunc
 at a time in the operation order of the formula, so no grid-sized temporary
 is made and the result is the formula's bit for bit.  The positive branch
-runs on the gathered pixels only and is scattered back.
-``fit_direct`` prepares one step per fit and reuses it on every iteration;
-:func:`loss_with_grad` and :func:`batched_loss_values` prepare one per call.
+runs on the gathered pixels only and is scattered back.  A value-only call
+skips the gradient, its scaling and the clamp gate; its terms are the same.
+
+Because a pixel's term and gradient depend only on its prediction, heatmap
+value and mask, a step also serves a bundle of pixel *classes*:
+``fit_direct`` prepares one per fit on a ``(1, U)`` bundle holding each
+distinct heatmap value once, takes the unscaled per-class terms from
+:meth:`LossStep.terms`, and forms the loss itself as ``scale`` times the
+pairwise sum of the terms gathered back onto the grid.
+:func:`loss_with_grad` and :func:`batched_loss_values` (value-only) prepare
+one step per call.
 """
 
 from __future__ import annotations
@@ -158,23 +166,29 @@ def focal_scalar(sample: ScalarSample, gamma: float, clamp: float = 1e-4) -> flo
 
 
 # --- branch kernels -----------------------------------------------------------
-# Each gives the per-pixel term and its derivative in q together, sharing the
-# power and logarithm between them.  The eps1 polynomial term is skipped at
+# Each gives the per-pixel term and, unless the call wants the value only, its
+# derivative in q, sharing the power and logarithm between them.  The term's
+# operations are the same either way.  The eps1 polynomial term is skipped at
 # eps1 = 0, so a poly-1 variant there runs exactly the arithmetic of its base.
 # The keypoint and graded kernels run on the gathered positive pixels and
 # return new arrays; the background kernel runs on the whole grid and writes
 # into the step's buffers.
 
 
-def _keypoint_branch(q: np.ndarray, gamma: float, eps1: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(1-q)^g ln q - eps1 (1-q)^(g+1)`` and its derivative in ``q``."""
+def _keypoint_branch(
+    q: np.ndarray, gamma: float, eps1: float, with_grad: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(1-q)^g ln q - eps1 (1-q)^(g+1)`` and, if ``with_grad``, its derivative in ``q``."""
     u = 1.0 - q
     pg = np.power(u, gamma)
     log_q = np.log(q)
     term = pg * log_q
-    grad = pg * (1.0 / q - gamma * log_q / u)
     if eps1 != 0.0:
         term -= eps1 * pg * u
+    if not with_grad:
+        return term, None
+    grad = pg * (1.0 / q - gamma * log_q / u)
+    if eps1 != 0.0:
         grad += eps1 * (gamma + 1.0) * pg
     return term, grad
 
@@ -186,34 +200,43 @@ def _background_branch(
     pg: np.ndarray,
     log_u: np.ndarray,
     term: np.ndarray,
-    grad: np.ndarray,
+    grad: np.ndarray | None,
 ) -> None:
-    """``q^g ln(1-q) - eps1 q^(g+1)`` and its derivative in ``q``, into ``term`` and ``grad``.
+    """``q^g ln(1-q) - eps1 q^(g+1)`` into ``term``, and its derivative in ``q`` into ``grad``.
 
-    ``pg`` and ``log_u`` are scratch buffers shaped like ``q``.  One ufunc
-    at a time, in the operation order of ``pg * (g ln(1-q) / q - 1 / (1-q))``.
+    ``pg`` and ``log_u`` are scratch buffers shaped like ``q``; a ``grad`` of
+    None skips the derivative.  One ufunc at a time, in the operation order
+    of ``pg * (g ln(1-q) / q - 1 / (1-q))``.
     """
     np.power(q, gamma, out=pg)
     np.log1p(np.negative(q, out=log_u), out=log_u)
     np.multiply(pg, log_u, out=term)
-    np.multiply(gamma, log_u, out=log_u)
-    np.divide(log_u, q, out=log_u)
-    np.subtract(1.0, q, out=grad)
-    np.divide(1.0, grad, out=grad)
-    np.subtract(log_u, grad, out=grad)
-    np.multiply(pg, grad, out=grad)
+    if grad is not None:
+        np.multiply(gamma, log_u, out=log_u)
+        np.divide(log_u, q, out=log_u)
+        np.subtract(1.0, q, out=grad)
+        np.divide(1.0, grad, out=grad)
+        np.subtract(log_u, grad, out=grad)
+        np.multiply(pg, grad, out=grad)
     if eps1 != 0.0:
         np.multiply(eps1, pg, out=log_u)
         np.multiply(log_u, q, out=log_u)
         np.subtract(term, log_u, out=term)
-        np.multiply(eps1 * (gamma + 1.0), pg, out=log_u)
-        np.subtract(grad, log_u, out=grad)
+        if grad is not None:
+            np.multiply(eps1 * (gamma + 1.0), pg, out=log_u)
+            np.subtract(grad, log_u, out=grad)
 
 
 def _graded_branch(
-    q: np.ndarray, heat: np.ndarray, pb: np.ndarray, gamma: float, clamp: float, eps1: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """``w dp^g ln(1-dp) - eps1 p^b dp^(g+1)`` and its derivative in ``q``.
+    q: np.ndarray,
+    heat: np.ndarray,
+    pb: np.ndarray,
+    gamma: float,
+    clamp: float,
+    eps1: float,
+    with_grad: bool,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``w dp^g ln(1-dp) - eps1 p^b dp^(g+1)`` and, if ``with_grad``, its derivative in ``q``.
 
     ``dp = |p - q|`` is capped below ``1 - clamp``, and ``pb = p^b``.
     ``w = (1 - eps1) p^b + eps1`` moves the ``p^b`` weight from the log term
@@ -225,15 +248,19 @@ def _graded_branch(
     pg = np.power(dp, gamma)
     log_v = np.log1p(-dp)
     term = pg * log_v
+    if eps1 == 0.0:
+        term *= pb
+    else:
+        w = (1.0 - eps1) * pb + eps1
+        term = w * term - eps1 * pb * pg * dp
+    if not with_grad:
+        return term, None
     # dp^(g-1) = pg / dp; at the dp = 0 kink sign(diff) = 0 below is the chosen
     # subgradient, and dividing by 1 there keeps 0 / 0 out of it.
     grad = gamma * pg / np.where(dp == 0.0, 1.0, dp) * log_v - pg / (1.0 - dp)
     if eps1 == 0.0:
-        term *= pb
         grad *= pb
     else:
-        w = (1.0 - eps1) * pb + eps1
-        term = w * term - eps1 * pb * pg * dp
         grad = w * grad - eps1 * (gamma + 1.0) * pb * pg
     grad *= np.sign(diff)
     return term, grad
@@ -283,49 +310,67 @@ class LossStep:
         )
         self.degenerate = gt.n_objects == 0
         if variant is LossVariant.FOCAL_SCALAR:
-            self._scale, self.degenerate = -1.0, False
+            self.scale, self.degenerate = -1.0, False
         else:
-            self._scale = -cfg.alpha / (1 if self.degenerate else gt.n_objects)
+            self.scale = -cfg.alpha / (1 if self.degenerate else gt.n_objects)
         self._rows = (-1, heat.size)
         self._sums = tuple(shape[:-2]) + (heat.size,)
         self._q, self._pg, self._scratch, self._term, self._grad = (np.empty(shape) for _ in range(5))
         self._inside, self._below = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
 
-    def __call__(self, preds: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
-        """Scaled loss value and gradient of ``preds``.
+    def terms(self, preds: np.ndarray, with_grad: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+        """Unscaled per-pixel terms of ``preds`` and the gradient of the scaled loss.
 
-        The value is a Python float for one 2-D prediction, else an array
-        over the leading axes.  The gradient is the step's own buffer, valid
-        until the next call.
+        The loss value is ``scale`` times the sum of the terms.  Both arrays
+        are the step's own buffers, valid until the next call.  Without
+        ``with_grad`` the gradient, its scaling and the clamp gate are
+        skipped and the gradient is None; the terms are the same.
         """
         if preds.size and not (preds.min() >= 0.0 and preds.max() <= 1.0):
             raise ValidationError("prediction values must be finite and lie in [0, 1]")
-        cfg, q, term, grad = self._cfg, self._q, self._term, self._grad
+        cfg, q, term = self._cfg, self._q, self._term
+        grad = self._grad if with_grad else None
         lo, hi = cfg.clamp, 1.0 - cfg.clamp
         np.clip(preds, lo, hi, out=q)
         _background_branch(q, cfg.gamma, self._eps1, self._pg, self._scratch, term, grad)
         if self._neg_weight is not None:
             term *= self._neg_weight
-            grad *= self._neg_weight
+            if with_grad:
+                grad *= self._neg_weight
         q_pos = q.reshape(self._rows)[:, self._pos]
         if self._graded:
             pos_term, pos_grad = _graded_branch(
-                q_pos, self._heat_pos, self._pos_weight, cfg.gamma, cfg.clamp, self._eps1
+                q_pos, self._heat_pos, self._pos_weight, cfg.gamma, cfg.clamp, self._eps1, with_grad
             )
         else:
-            pos_term, pos_grad = _keypoint_branch(q_pos, cfg.gamma, self._eps1)
+            pos_term, pos_grad = _keypoint_branch(q_pos, cfg.gamma, self._eps1, with_grad)
         term.reshape(self._rows)[:, self._pos] = pos_term
+        if not with_grad:
+            return term, None
         grad.reshape(self._rows)[:, self._pos] = pos_grad
+        # A huge scale may overflow the gradient to inf (and inf * 0 to nan in the
+        # gate); callers test it for finiteness, so numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad *= self.scale
+            np.greater(preds, lo, out=self._inside)
+            self._inside &= np.less(preds, hi, out=self._below)
+            grad *= self._inside
+        return term, grad
 
+    def __call__(
+        self, preds: np.ndarray, with_grad: bool = True
+    ) -> tuple[float | np.ndarray, np.ndarray | None]:
+        """Scaled loss value and gradient of ``preds``, as :meth:`terms` gives it.
+
+        The value is a Python float for one 2-D prediction, else an array
+        over the leading axes.
+        """
+        term, grad = self.terms(preds, with_grad)
         # One pairwise sum per flattened grid, so a stack slice and the same 2-D
-        # prediction sum identically.  The 2-D value is a Python float: an
-        # overflowing product then yields inf without a numpy warning.
+        # prediction sum identically.  An overflowing product yields inf.
         total = term.reshape(self._sums).sum(axis=-1)
-        value = self._scale * (float(total) if total.ndim == 0 else total)
-        grad *= self._scale
-        np.greater(preds, lo, out=self._inside)
-        self._inside &= np.less(preds, hi, out=self._below)
-        grad *= self._inside
+        with np.errstate(over="ignore"):
+            value = self.scale * (float(total) if total.ndim == 0 else total)
         return value, grad
 
 
@@ -337,6 +382,8 @@ def loss_with_grad(pred: Grid, gt: GroundTruthBundle, cfg: LossConfig) -> LossRe
     """
     step = LossStep(gt, cfg, pred.shape)
     value, grad = step(pred.values)
+    if not (math.isfinite(grad.min()) and math.isfinite(grad.max())):
+        raise ValidationError("loss gradient is non-finite; alpha or eps1 is likely too large")
     return LossResult(value=value, grad=Grid(grad), degenerate_n=step.degenerate)
 
 
@@ -347,4 +394,4 @@ def batched_loss_values(preds: np.ndarray, gt: GroundTruthBundle, cfg: LossConfi
     bit; used for parameter sweeps and finite-difference verification.
     """
     preds = np.asarray(preds, dtype=np.float64)
-    return LossStep(gt, cfg, preds.shape)(preds)[0]
+    return LossStep(gt, cfg, preds.shape)(preds, with_grad=False)[0]

@@ -193,32 +193,74 @@ def _initial_logits(shape: tuple[int, int], cfg: FitConfig) -> np.ndarray:
     return np.zeros(shape)
 
 
+def _pixel_classes(bundle: GroundTruthBundle) -> tuple[GroundTruthBundle, np.ndarray]:
+    """The distinct heatmap values as a ``(1, U)`` bundle, and each pixel's class.
+
+    The key is the heatmap value alone.  The mask need not be in it: the
+    bundle check makes the mask ``heatmap > 0`` for the mask variants, and no
+    other variant reads the mask.
+    """
+    heat = bundle.heatmap.values.ravel()
+    values, first, classes = np.unique(heat, return_index=True, return_inverse=True)
+    mask = bundle.mask.values.ravel()[first]
+    return GroundTruthBundle(Grid(values[None]), Grid(mask[None]), bundle.n_objects), classes
+
+
 def fit_direct(scene: SceneAnnotation, sigma: SigmaParams, cfg: FitConfig) -> FitTrace:
     """Full-batch gradient descent of a free logit grid against one loss.
 
     The prediction is ``sigmoid(theta)``; each step applies
     ``theta -= lr * dL/dpred * pred * (1 - pred)``.  The loss is recorded at
     step 1 and every ``record_every`` steps thereafter, before the update, so
-    the first entry is the initialization loss.  The loss is prepared once
-    per fit; the sigmoid, the loss and the update write into buffers the fit
-    owns, and only the loss's positive branch allocates, over its own pixels.
+    the first entry is the initialization loss.
+
+    Every variant is a sum of per-pixel terms times one scale, and the
+    sigmoid, the clamp gate and the update act on each pixel alone, so pixels
+    with equal heatmap value and equal initial logit follow bit-identical
+    trajectories.  Under a constant initialization the fit therefore runs one
+    logit per distinct heatmap value (a pixel class) and scatters the logits
+    back to the grid once, at the end; under ``SEEDED_NOISE`` every pixel is
+    its own class.  The bundle is checked once at full size.  A recorded loss
+    is the scale times the pairwise sum of the class terms gathered back onto
+    the grid, the very sum a whole-grid step takes.  An unrecorded step
+    gathers only when a bound cannot prove that sum finite, so a non-finite
+    loss is reported at the same step.  The loss is prepared once per fit;
+    the sigmoid, the loss and the update write into buffers the fit owns.
     """
     bundle = supervision_bundle(scene, sigma, cfg.loss.variant)
-    theta = _initial_logits(bundle.heatmap.shape, cfg)
-    loss_step = LossStep(bundle, cfg.loss, theta.shape)
+    shape = bundle.heatmap.shape
+    loss_step = LossStep(bundle, cfg.loss, shape)  # checks the bundle at full size
+    compressed = cfg.init is not InitMode.SEEDED_NOISE
+    if compressed:
+        class_bundle, classes = _pixel_classes(bundle)
+        loss_step = LossStep(class_bundle, cfg.loss, class_bundle.heatmap.shape)
+        theta = _initial_logits(class_bundle.heatmap.shape, cfg)
+    else:
+        # every pixel is its own class; the identity view neither sorts nor gathers
+        classes, theta = np.s_[:], _initial_logits(shape, cfg)
+    scale = loss_step.scale
+    # The grid sum of n_px terms of magnitude at most `peak` is at most about
+    # peak * n_px.  So `peak * bound < 1e300`, with |scale| taken as at least 1,
+    # proves both that sum and the scaled loss finite without gathering.
+    bound = bundle.heatmap.values.size * max(1.0, abs(scale))
     pred, one_minus = np.empty_like(theta), np.empty_like(theta)
     losses: list[tuple[int, float]] = []
     for step in range(1, cfg.steps + 1):
-        value, grad = loss_step(_expit_into(theta, pred))
+        term, grad = loss_step.terms(_expit_into(theta, pred))
         if not (math.isfinite(grad.min()) and math.isfinite(grad.max())):
             raise ValidationError(f"loss gradient became non-finite at step {step}")
-        if not math.isfinite(value):
-            raise NonFiniteLossError(
-                f"loss became non-finite at step {step}; the learning rate "
-                f"{cfg.learning_rate} is likely too large"
-            )
-        if (step - 1) % cfg.record_every == 0:
-            losses.append((step, value))
+        recorded = (step - 1) % cfg.record_every == 0
+        if recorded or not compressed or not (
+            max(float(term.max()), -float(term.min())) * bound < 1e300
+        ):
+            value = scale * float(term.ravel()[classes].sum())
+            if not math.isfinite(value):
+                raise NonFiniteLossError(
+                    f"loss became non-finite at step {step}; the learning rate "
+                    f"{cfg.learning_rate} is likely too large"
+                )
+            if recorded:
+                losses.append((step, value))
         # theta -= lr * grad * pred * (1 - pred), in that order, in grad's buffer
         try:
             with np.errstate(over="raise", invalid="raise"):
@@ -231,7 +273,7 @@ def fit_direct(scene: SceneAnnotation, sigma: SigmaParams, cfg: FitConfig) -> Fi
                 f"the logit update overflowed at step {step}; the learning rate "
                 f"{cfg.learning_rate} is too large"
             ) from None
-    final_pred = Grid(expit(theta))
+    final_pred = Grid(expit(theta.ravel()[classes].reshape(shape)))
     return FitTrace(
         losses=tuple(losses),
         final_pred=final_pred,

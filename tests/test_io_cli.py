@@ -15,8 +15,10 @@ from heatloss import (
     Grid,
     SceneAnnotation,
     SchemaError,
+    SigmaParams,
     read_grid,
     read_grid_csv,
+    render_heatmap,
     write_grid,
     write_grid_csv,
 )
@@ -39,6 +41,18 @@ def error_payload(err):
     payload = json.loads(err)
     assert set(payload) == {"error", "message"}
     return payload
+
+
+def run_cli_process(*argv):
+    """The CLI as a child process, so warnings numpy prints reach its stderr."""
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "heatloss.cli", *argv],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
 
 
 def write_scene(path, width=32, height=32, boxes=((16.0, 16.0, 6.0, 6.0),)):
@@ -238,6 +252,37 @@ class TestEvalLossCommand:
         assert not (tmp_path / "r.json").exists()
 
 
+class TestGradientOverflow:
+    """A scale of 6e307 overflows the gradient; both commands fail cleanly."""
+
+    @pytest.mark.parametrize("command", ["fit", "eval-loss"])
+    def test_validation_error_without_runtime_warning(self, tmp_path, command):
+        ann = tmp_path / "scene.json"
+        scene = write_scene(ann, width=16, height=16, boxes=((5.0, 5.0, 6.0, 6.0),))
+        cfg = tmp_path / "loss.json"
+        cfg.write_text(json.dumps(
+            {"variant": "POLY1_PIXELWISE", "alpha": 6e307, "gamma": 0.0, "eps1": 1.0}
+        ))
+        if command == "fit":
+            argv = ["fit", "--annotation", str(ann), "--loss-config", str(cfg),
+                    "--steps", "5", "--learning-rate", "1", "--seed", "1"]
+            message = "loss gradient became non-finite at step 1"
+        else:
+            heat, pred = tmp_path / "heat.grid", tmp_path / "pred.grid"
+            write_grid(render_heatmap(scene, SigmaParams(eta=1.0, eps_sigma=3.0)), heat)
+            write_grid(Grid(np.full((16, 16), 0.5)), pred)
+            argv = ["eval-loss", "--pred", str(pred), "--heatmap", str(heat),
+                    "--n-objects", "1", "--loss-config", str(cfg),
+                    "--report-out", str(tmp_path / "r.json"), "--grad-out", str(tmp_path / "g.grid")]
+            message = "loss gradient is non-finite"
+        result = run_cli_process(*argv)
+        assert result.returncode == 4 and result.stdout == ""
+        assert "RuntimeWarning" not in result.stderr
+        payload = error_payload(result.stderr)
+        assert payload["error"] == "VALIDATION_ERROR" and message in payload["message"]
+        assert not (tmp_path / "r.json").exists()
+
+
 class TestGradCheckCommand:
     def test_poly_variant_passes(self, capsys):
         code, out, _ = run_cli(
@@ -386,14 +431,9 @@ class TestSynthFitExperimentCommands:
         write_scene(ann, width=24, height=24, boxes=((12.0, 12.0, 6.0, 6.0),))
         cfg = tmp_path / "loss.json"
         cfg.write_text(json.dumps({"variant": "FOCAL_SCALAR"}))
-        pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "heatloss.cli", "fit", "--annotation", str(ann),
-             "--loss-config", str(cfg), "--steps", "5", "--learning-rate", "1.7e308", "--seed", "0"],
-            env={**os.environ, "PYTHONPATH": pythonpath},
-            capture_output=True,
-            text=True,
-            timeout=60,
+        result = run_cli_process(
+            "fit", "--annotation", str(ann), "--loss-config", str(cfg),
+            "--steps", "5", "--learning-rate", "1.7e308", "--seed", "0",
         )
         assert result.returncode == 6 and result.stdout == ""
         assert "RuntimeWarning" not in result.stderr

@@ -5,14 +5,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatloss import (
+    BoxAnnotation,
     FitConfig,
     InitMode,
     LossConfig,
     LossVariant,
     NonFiniteLossError,
     PlacementError,
+    SceneAnnotation,
     SigmaParams,
     SynthParams,
     ValidationError,
@@ -132,6 +136,25 @@ REFERENCE_LOSSES = [
     ),
 ]
 
+# Scenes with far fewer pixel classes than pixels, and classes shared between
+# heads: 12 heads on 96x64, two heads on adjacent integer centres (two tied
+# 1.0 keypoints), and no heads at all.
+CLASS_SCENES = {
+    "96x64_12_heads": generate_scene(SynthParams(seed=3, width=96, height=64, n_heads=12)),
+    "adjacent_centres": SceneAnnotation(
+        24, 20, (BoxAnnotation(10.0, 9.0, 7.0, 7.0), BoxAnnotation(11.0, 9.0, 7.0, 7.0))
+    ),
+    "no_heads": generate_scene(SynthParams(seed=4, width=40, height=40, n_heads=0)),
+}
+
+
+def assert_matches_reference(scene, cfg):
+    trace = fit_direct(scene, SIGMA, cfg)
+    losses, final_pred, final_count = reference_fit(scene, SIGMA, cfg)
+    assert trace.losses == losses
+    assert trace.final_pred.values.tobytes() == final_pred.values.tobytes()
+    assert trace.final_count == final_count
+
 
 class TestFitDirect:
     def test_trace_length_contract(self):
@@ -190,6 +213,24 @@ class TestFitDirect:
         with pytest.raises(NonFiniteLossError, match="learning rate"):
             fit_direct(scene, SIGMA, cfg)
 
+    @pytest.mark.parametrize("every", [1, 5])
+    def test_non_finite_loss_on_an_unrecorded_step_is_reported_there(self, every):
+        scene = SceneAnnotation(
+            16, 16, (BoxAnnotation(5.0, 5.0, 6.0, 6.0), BoxAnnotation(11.0, 10.0, 6.0, 6.0))
+        )
+        loss = LossConfig(
+            LossVariant.MASK_FOCAL_POLY1,
+            alpha=2.2158254524245735e303,
+            beta=0.0,
+            gamma=0.5,
+            eps1=-1000.0,
+        )
+        cfg = FitConfig(loss=loss, steps=10, learning_rate=13.522921485538442, record_every=every)
+        with pytest.raises(NonFiniteLossError, match="at step 2; the learning rate"):
+            fit_direct(scene, SIGMA, cfg)
+        with pytest.raises(NonFiniteLossError, match="at step 2$"):
+            reference_fit(scene, SIGMA, cfg)
+
     def test_overflowing_update_aborts_with_diagnostic(self):
         scene = small_scene(n_heads=2)
         cfg = FitConfig(
@@ -210,6 +251,13 @@ class TestFitDirect:
         assert trace.losses == losses
         assert trace.final_pred.values.tobytes() == final_pred.values.tobytes()
         assert trace.final_count == final_count
+
+    @pytest.mark.parametrize("every", [1, 7])
+    @pytest.mark.parametrize("scene_name", list(CLASS_SCENES))
+    @pytest.mark.parametrize("loss", REFERENCE_LOSSES, ids=lambda c: f"{c.variant.value}_eps1_{c.eps1}")
+    def test_pixel_classes_match_reference_loop(self, loss, scene_name, every):
+        cfg = FitConfig(loss=loss, steps=30, learning_rate=0.5, record_every=every)
+        assert_matches_reference(CLASS_SCENES[scene_name], cfg)
 
     def test_recorded_losses_non_increasing_at_pinned_configuration(self):
         scene = generate_scene(
@@ -265,6 +313,27 @@ class TestFitDirect:
             cfg.loss.clamp,
         )
         assert np.abs(trace.final_pred.values - target).max() <= 0.05
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    width=st.integers(1, 24),
+    height=st.integers(1, 24),
+    heads=st.integers(0, 6),
+    scene_seed=st.integers(0, 2**32 - 1),
+    loss=st.sampled_from(REFERENCE_LOSSES),
+    init=st.sampled_from([InitMode.UNIFORM_HALF, InitMode.SEEDED_NOISE]),
+    every=st.integers(1, 9),
+    steps=st.integers(1, 12),
+)
+def test_fit_matches_reference_loop_on_random_scenes(
+    width, height, heads, scene_seed, loss, init, every, steps
+):
+    scene = generate_scene(SynthParams(seed=scene_seed, width=width, height=height, n_heads=heads))
+    cfg = FitConfig(
+        loss=loss, steps=steps, learning_rate=0.5, init=init, record_every=every, seed=scene_seed
+    )
+    assert_matches_reference(scene, cfg)
 
 
 class TestDeskExperiment:
