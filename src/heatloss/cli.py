@@ -5,18 +5,16 @@ success, and on failure writes a machine-readable JSON object
 ``{"error": <code>, "message": <text>}`` to stderr with a nonzero exit
 status.  Grid outputs use the binary format unless the path ends in
 ``.csv``.  Randomized subcommands (synth, fit, experiment, grad-check)
-require an explicit --seed.  The experiment subcommand fans fits out over
-worker threads capped by the HEATLOSS_THREADS environment variable.
+require an explicit --seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+# perfbench/tracing.py saves and restores ``heatloss.cli.ThreadPoolExecutor`` by name
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +32,7 @@ from .losses import (
     batched_loss_values,
     loss_with_grad,
 )
-from .synth import FitConfig, InitMode, SynthParams, fit_direct, generate_scene
+from .synth import FitConfig, InitMode, SynthParams, fit_direct, generate_scene, run_desk_experiment
 
 GRAD_CHECK_TOLERANCE = 1e-6
 _EXIT_CODES = {
@@ -234,37 +232,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _worker_count() -> int:
-    env = os.environ.get("HEATLOSS_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise SchemaError(f"HEATLOSS_THREADS must be an integer, got {env!r}") from exc
-        if cap < 1:
-            raise SchemaError(f"HEATLOSS_THREADS must be >= 1, got {cap}")
-        return cap
-    return os.cpu_count() or 1
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
     scenes, variants, sigma, fit_cfg = ser.load_experiment_config(args.config, args.seed)
-    jobs = [(vi, si) for vi in range(len(variants)) for si in range(len(scenes))]
-
-    def run(job: tuple[int, int]) -> int:
-        vi, si = job
-        return fit_direct(scenes[si], sigma, replace(fit_cfg, loss=variants[vi])).final_count
-
-    workers = min(_worker_count(), max(1, len(jobs)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        counts = list(pool.map(run, jobs))  # ordered by input index
-    results = []
-    for vi, cfg in enumerate(variants):
-        per_image = [
-            (counts[vi * len(scenes) + si], len(scenes[si].boxes)) for si in range(len(scenes))
-        ]
-        report = compute_metrics(per_image)
-        results.append({"variant": ser.loss_config_to_obj(cfg), "report": ser.count_report_to_obj(report)})
+    results = [
+        {"variant": ser.loss_config_to_obj(cfg), "report": ser.count_report_to_obj(report)}
+        for cfg, report in run_desk_experiment(scenes, variants, sigma, fit_cfg)
+    ]
     Path(args.out).write_text(json.dumps(results, indent=2) + "\n")
     return 0
 

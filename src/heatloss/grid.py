@@ -11,14 +11,13 @@ Binary format: one ASCII header line ``GRID <width> <height>\\n`` followed by
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import SchemaError, ValidationError
-
-_MAGIC = b"GRID"
 
 
 @dataclass(frozen=True)
@@ -64,16 +63,19 @@ class Grid:
 
 def write_grid(grid: Grid, path: str | Path) -> None:
     """Write ``grid`` in the binary format (header + little-endian float32)."""
-    payload = grid.values.astype("<f4").tobytes(order="C")
+    with np.errstate(over="ignore"):
+        payload = grid.values.astype("<f4")
+    if not np.isfinite(payload).all():
+        raise ValidationError(f"grid values exceed the float32 range of the grid format (|v| <= {np.finfo(np.float32).max:.6g})")
     header = f"GRID {grid.width} {grid.height}\n".encode("ascii")
-    Path(path).write_bytes(header + payload)
+    Path(path).write_bytes(header + payload.tobytes(order="C"))
 
 
 def read_grid(path: str | Path) -> Grid:
     """Read a binary grid file written by :func:`write_grid`."""
     raw = Path(path).read_bytes()
     newline = raw.find(b"\n")
-    if newline < 0 or not raw.startswith(_MAGIC + b" "):
+    if newline < 0 or not raw.startswith(b"GRID "):
         raise SchemaError(f"{path}: not a grid file (missing 'GRID <w> <h>' header)")
     fields = raw[:newline].decode("ascii", errors="replace").split()
     if len(fields) != 3:
@@ -99,7 +101,11 @@ def write_grid_csv(grid: Grid, path: str | Path) -> None:
 
 def read_grid_csv(path: str | Path) -> Grid:
     try:
-        values = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise SchemaError(f"{path}: malformed grid CSV ({exc})") from exc
+    if values.size == 0:
+        raise SchemaError(f"{path}: malformed grid CSV (no data)")
     return Grid(values)

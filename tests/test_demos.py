@@ -9,9 +9,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# 05_desk_experiment.py is left out: its multi-variant fits take about 10 s,
-# several times the other four demos together.
-DEMOS = ["01_ground_truth.py", "02_loss_family.py", "03_gradient_check.py", "04_counting.py"]
+DEMOS = [
+    "01_ground_truth.py",
+    "02_loss_family.py",
+    "03_gradient_check.py",
+    "04_counting.py",
+    "05_desk_experiment.py",
+]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

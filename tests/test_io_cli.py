@@ -253,20 +253,24 @@ class TestEvalLossCommand:
 
 
 class TestGradientOverflow:
-    """A scale of 6e307 overflows the gradient; both commands fail cleanly."""
+    """A huge scale overflows the gradient, in float64 or in the float32 grid
+    file; both commands fail cleanly and write nothing."""
 
-    @pytest.mark.parametrize("command", ["fit", "eval-loss"])
-    def test_validation_error_without_runtime_warning(self, tmp_path, command):
+    POLY1 = {"variant": "POLY1_PIXELWISE", "alpha": 6e307, "gamma": 0.0, "eps1": 1.0}
+
+    @pytest.mark.parametrize("command,loss,message", [
+        ("fit", POLY1, "loss gradient became non-finite at step 1"),
+        ("eval-loss", POLY1, "loss gradient is non-finite"),
+        ("eval-loss", {"variant": "HEATMAP_FOCAL", "alpha": 1e300}, "float32 range of the grid format"),
+    ], ids=["fit", "eval-loss", "eval-loss-float32"])
+    def test_validation_error_without_runtime_warning(self, tmp_path, command, loss, message):
         ann = tmp_path / "scene.json"
         scene = write_scene(ann, width=16, height=16, boxes=((5.0, 5.0, 6.0, 6.0),))
         cfg = tmp_path / "loss.json"
-        cfg.write_text(json.dumps(
-            {"variant": "POLY1_PIXELWISE", "alpha": 6e307, "gamma": 0.0, "eps1": 1.0}
-        ))
+        cfg.write_text(json.dumps(loss))
         if command == "fit":
             argv = ["fit", "--annotation", str(ann), "--loss-config", str(cfg),
                     "--steps", "5", "--learning-rate", "1", "--seed", "1"]
-            message = "loss gradient became non-finite at step 1"
         else:
             heat, pred = tmp_path / "heat.grid", tmp_path / "pred.grid"
             write_grid(render_heatmap(scene, SigmaParams(eta=1.0, eps_sigma=3.0)), heat)
@@ -274,13 +278,13 @@ class TestGradientOverflow:
             argv = ["eval-loss", "--pred", str(pred), "--heatmap", str(heat),
                     "--n-objects", "1", "--loss-config", str(cfg),
                     "--report-out", str(tmp_path / "r.json"), "--grad-out", str(tmp_path / "g.grid")]
-            message = "loss gradient is non-finite"
         result = run_cli_process(*argv)
         assert result.returncode == 4 and result.stdout == ""
         assert "RuntimeWarning" not in result.stderr
         payload = error_payload(result.stderr)
         assert payload["error"] == "VALIDATION_ERROR" and message in payload["message"]
         assert not (tmp_path / "r.json").exists()
+        assert not (tmp_path / "g.grid").exists()
 
 
 class TestGradCheckCommand:
@@ -382,6 +386,16 @@ class TestPeaksAndCountCommands:
             "per_image": [{"pred": 3, "truth": 4}, {"pred": 5, "truth": 4}],
         }
 
+    def test_empty_csv_heatmap_is_schema_error(self, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        result = run_cli_process("peaks", "--heatmap", str(empty), "--out", str(tmp_path / "p.json"))
+        assert result.returncode == 2 and result.stdout == ""
+        assert "Warning" not in result.stderr
+        payload = error_payload(result.stderr)
+        assert payload["error"] == "SCHEMA_ERROR" and "malformed grid CSV (no data)" in payload["message"]
+        assert not (tmp_path / "p.json").exists()
+
 
 class TestSynthFitExperimentCommands:
     def test_synth_is_idempotent(self, tmp_path, capsys):
@@ -456,7 +470,7 @@ class TestSynthFitExperimentCommands:
         payload = error_payload(err)
         assert payload["error"] == "VALIDATION_ERROR" and "64-bit" in payload["message"]
 
-    def test_experiment_report(self, tmp_path, capsys, monkeypatch):
+    def test_experiment_report(self, tmp_path, capsys):
         scene_p = tmp_path / "scene.json"
         write_scene(scene_p, width=24, height=24, boxes=((12.0, 12.0, 6.0, 6.0),))
         config = tmp_path / "exp.json"
@@ -472,7 +486,6 @@ class TestSynthFitExperimentCommands:
             "sigma": {"eta": 1.0, "eps_sigma": 3.0},
             "fit": {"steps": 120, "learning_rate": 0.5, "record_every": 20},
         }))
-        monkeypatch.setenv("HEATLOSS_THREADS", "2")
         out = tmp_path / "report.json"
         code, _, _ = run_cli(capsys, "experiment", "--config", str(config), "--seed", "1", "--out", str(out))
         assert code == 0
@@ -482,16 +495,16 @@ class TestSynthFitExperimentCommands:
             assert entry["report"]["m"] == 2
         assert results[0]["variant"]["variant"] == "MASK_FOCAL"
 
-    def test_bad_threads_env_rejected(self, tmp_path, capsys, monkeypatch):
+    def test_experiment_without_scenes_is_validation_error(self, tmp_path, capsys):
         config = tmp_path / "exp.json"
         config.write_text(json.dumps({
-            "scenes": [{"width": 8, "height": 8, "boxes": []}],
+            "scenes": [],
             "variants": [{"variant": "MASK_FOCAL"}],
             "sigma": {"eta": 1.0, "eps_sigma": 3.0},
             "fit": {"steps": 1, "learning_rate": 0.5},
         }))
-        monkeypatch.setenv("HEATLOSS_THREADS", "zero")
-        code, _, err = run_cli(capsys, "experiment", "--config", str(config), "--seed", "1",
-                               "--out", str(tmp_path / "r.json"))
-        assert code == 2
-        assert json.loads(err)["error"] == "SCHEMA_ERROR"
+        code, out, err = run_cli(capsys, "experiment", "--config", str(config), "--seed", "1",
+                                 "--out", str(tmp_path / "r.json"))
+        assert code == 4 and out == ""
+        assert error_payload(err)["error"] == "VALIDATION_ERROR"
+        assert not (tmp_path / "r.json").exists()
