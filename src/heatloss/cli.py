@@ -35,6 +35,7 @@ from .losses import (
 from .synth import FitConfig, InitMode, SynthParams, fit_direct, generate_scene, run_desk_experiment
 
 GRAD_CHECK_TOLERANCE = 1e-6
+_FD_BLOCK = 64  # one-hot perturbations per finite-difference batch; bounds grad-check memory
 _EXIT_CODES = {
     "SCHEMA_ERROR": 2,
     "DIM_MISMATCH": 3,
@@ -106,7 +107,7 @@ def _cmd_eval_loss(args: argparse.Namespace) -> int:
     cfg = ser.load_loss_config(args.loss_config)
     bundle = GroundTruthBundle(heatmap=heat, mask=mask, n_objects=args.n_objects)
     result = loss_with_grad(pred, bundle, cfg)
-    write_grid(result.grad, args.grad_out)
+    _write_grid_auto(result.grad, args.grad_out)
     ser.dump_loss_report(result.value, args.grad_out, args.report_out, result.degenerate_n)
     return 0
 
@@ -147,13 +148,16 @@ def max_grad_deviation(variant: LossVariant, size: int, instances: int, seed: in
     """Max relative deviation between analytic gradients and central differences."""
     if size < 1 or instances < 1 or seed < 0:
         raise ValidationError(f"need size >= 1, instances >= 1, seed >= 0; got {size}, {instances}, {seed}")
-    worst = 0.0
-    eye = np.eye(size * size).reshape(size * size, size, size)
+    n, worst = size * size, 0.0
     for pred, bundle, cfg in _grad_check_instances(variant, size, instances, seed):
         grad = loss_with_grad(pred, bundle, cfg).grad.values.ravel()
-        batch = np.concatenate([pred.values + step * eye, pred.values - step * eye])
-        values = batched_loss_values(batch, bundle, cfg)
-        fd = (values[: size * size] - values[size * size :]) / (2.0 * step)
+        fd = np.empty(n)
+        for start in range(0, n, _FD_BLOCK):
+            k = min(_FD_BLOCK, n - start)
+            eye = np.eye(k, n, start).reshape(k, size, size)  # one-hot rows start..start+k-1
+            batch = np.concatenate([pred.values + step * eye, pred.values - step * eye])
+            values = batched_loss_values(batch, bundle, cfg)
+            fd[start : start + k] = (values[:k] - values[k:]) / (2.0 * step)
         deviation = np.abs(grad - fd) / (1.0 + np.abs(grad))
         worst = max(worst, float(deviation.max()))
     return worst

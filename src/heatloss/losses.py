@@ -26,24 +26,23 @@ active and use subgradient 0 at the ``dp = 0`` kink.  Natural logarithms
 throughout.  Sums use numpy's pairwise reduction over row-major pixels, so
 results are bit-reproducible.
 
-Every evaluation goes through a :class:`LossStep`, the loss prepared against
-one bundle for one prediction shape.  Preparing checks the bundle, gathers
-the positive pixels with their heatmap values, and computes the constant
-weight and the scale.  Each call clips the prediction and runs the
-background branch over the whole grid in buffers the step owns, one ufunc
-at a time in the operation order of the formula, so no grid-sized temporary
-is made and the result is the formula's bit for bit.  The positive branch
-runs on the gathered pixels only and is scattered back.  A value-only call
-skips the gradient, its scaling and the clamp gate; its terms are the same.
+Every evaluation goes through :meth:`LossStep.terms`, the one method of the
+loss prepared against one bundle for one prediction shape.  Preparing checks
+the bundle, gathers the positive pixels with their heatmap values, and
+computes the constant weight and the scale.  ``terms`` clips the prediction
+and runs the background branch over the whole grid in buffers the step owns,
+one ufunc at a time in the operation order of the formula, so no grid-sized
+temporary is made and the result is the formula's bit for bit.  The positive
+branch runs on the gathered pixels only and is scattered back.  The caller
+forms the value as ``scale`` times the pairwise sum of the unscaled terms.
+A value-only evaluation skips the gradient, its scaling and the clamp gate.
 
 Because a pixel's term and gradient depend only on its prediction, heatmap
 value and mask, a step also serves a bundle of pixel *classes*:
 ``fit_direct`` prepares one per fit on a ``(1, U)`` bundle holding each
-distinct heatmap value once, takes the unscaled per-class terms from
-:meth:`LossStep.terms`, and forms the loss itself as ``scale`` times the
-pairwise sum of the terms gathered back onto the grid.
-:func:`loss_with_grad` and :func:`batched_loss_values` (value-only) prepare
-one step per call.
+distinct heatmap value once and sums the class terms gathered back onto the
+grid.  :func:`loss_with_grad` and :func:`batched_loss_values` (value-only,
+one sum per flattened grid) prepare one step per call.
 """
 
 from __future__ import annotations
@@ -286,8 +285,8 @@ class LossStep:
     it checks the bundle against the variant, gathers the positive pixels
     and their heatmap values, computes the constant ``p^b`` or ``(1 - p)^b``
     weight and the scale, and allocates the grid-sized buffers that every
-    call writes into.  A fit prepares one step and calls it on every
-    iteration.  The buffers make a step unsafe to share between threads.
+    evaluation writes into.  A fit prepares one step and evaluates it on
+    every iteration.  The buffers make a step unsafe to share between threads.
     """
 
     def __init__(self, gt: GroundTruthBundle, cfg: LossConfig, shape: tuple[int, ...]) -> None:
@@ -314,7 +313,6 @@ class LossStep:
         else:
             self.scale = -cfg.alpha / (1 if self.degenerate else gt.n_objects)
         self._rows = (-1, heat.size)
-        self._sums = tuple(shape[:-2]) + (heat.size,)
         self._q, self._pg, self._scratch, self._term, self._grad = (np.empty(shape) for _ in range(5))
         self._inside, self._below = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
 
@@ -357,22 +355,6 @@ class LossStep:
             grad *= self._inside
         return term, grad
 
-    def __call__(
-        self, preds: np.ndarray, with_grad: bool = True
-    ) -> tuple[float | np.ndarray, np.ndarray | None]:
-        """Scaled loss value and gradient of ``preds``, as :meth:`terms` gives it.
-
-        The value is a Python float for one 2-D prediction, else an array
-        over the leading axes.
-        """
-        term, grad = self.terms(preds, with_grad)
-        # One pairwise sum per flattened grid, so a stack slice and the same 2-D
-        # prediction sum identically.  An overflowing product yields inf.
-        total = term.reshape(self._sums).sum(axis=-1)
-        with np.errstate(over="ignore"):
-            value = self.scale * (float(total) if total.ndim == 0 else total)
-        return value, grad
-
 
 def loss_with_grad(pred: Grid, gt: GroundTruthBundle, cfg: LossConfig) -> LossResult:
     """Evaluate ``cfg.variant`` on ``pred`` against ``gt``.
@@ -381,7 +363,10 @@ def loss_with_grad(pred: Grid, gt: GroundTruthBundle, cfg: LossConfig) -> LossRe
     value (step 1e-6) to 1e-6 relative at clamp-interior predictions.
     """
     step = LossStep(gt, cfg, pred.shape)
-    value, grad = step(pred.values)
+    term, grad = step.terms(pred.values)
+    total = float(term.sum())  # one pairwise sum over the row-major pixels
+    with np.errstate(over="ignore"):
+        value = step.scale * total  # an overflowing product yields inf
     if not (math.isfinite(grad.min()) and math.isfinite(grad.max())):
         raise ValidationError("loss gradient is non-finite; alpha or eps1 is likely too large")
     return LossResult(value=value, grad=Grid(grad), degenerate_n=step.degenerate)
@@ -394,4 +379,9 @@ def batched_loss_values(preds: np.ndarray, gt: GroundTruthBundle, cfg: LossConfi
     bit; used for parameter sweeps and finite-difference verification.
     """
     preds = np.asarray(preds, dtype=np.float64)
-    return LossStep(gt, cfg, preds.shape)(preds, with_grad=False)[0]
+    step = LossStep(gt, cfg, preds.shape)
+    term = step.terms(preds, with_grad=False)[0]
+    # one pairwise sum per flattened grid, the sum loss_with_grad takes
+    totals = term.reshape(preds.shape[:-2] + (gt.heatmap.values.size,)).sum(axis=-1)
+    with np.errstate(over="ignore"):
+        return step.scale * totals  # an overflowing product yields inf

@@ -171,8 +171,9 @@ def supervision_bundle(
 
     Binary-label variants get the binary feature map as both heatmap and
     mask.  Mask variants get the heatmap truncated to box interiors
-    (heatmap * mask), which is the only form consistent with their
-    mask-support precondition; keypoint variants get the untruncated heatmap.
+    (heatmap * mask) and, as mask, that heatmap's support, the form their
+    mask-support precondition asks for (inside a very elongated box the
+    kernel can underflow to 0); keypoint variants get the untruncated heatmap.
     """
     if variant in (LossVariant.FOCAL_SCALAR, LossVariant.ALPHA_FOCAL):
         binary = render_binary_map(scene, stride)
@@ -181,28 +182,19 @@ def supervision_bundle(
     heat = render_heatmap(scene, sigma, stride)
     if variant in (LossVariant.MASK_FOCAL, LossVariant.MASK_FOCAL_POLY1):
         heat = Grid(heat.values * mask.values)
+        mask = Grid((heat.values > 0.0).astype(np.float64))
     return GroundTruthBundle(heat, mask, len(scene.boxes))
-
-
-def _initial_logits(shape: tuple[int, int], cfg: FitConfig) -> np.ndarray:
-    if cfg.init is InitMode.SEEDED_NOISE:
-        stream = _UniformStream(cfg.seed, _NOISE_STREAM)
-        return 2.0 * stream.block(shape[0] * shape[1]).reshape(shape) - 1.0
-    # UNIFORM_HALF (prediction 1/2 everywhere) and ZEROS_LOGIT coincide:
-    # sigmoid(0) == 0.5 exactly.
-    return np.zeros(shape)
 
 
 def _pixel_classes(bundle: GroundTruthBundle) -> tuple[GroundTruthBundle, np.ndarray]:
     """The distinct heatmap values as a ``(1, U)`` bundle, and each pixel's class.
 
-    The key is the heatmap value alone.  The mask need not be in it: the
-    bundle check makes the mask ``heatmap > 0`` for the mask variants, and no
-    other variant reads the mask.
+    The key is the heatmap value alone, and each class's mask is its value's
+    support: ``supervision_bundle`` makes the mask ``heatmap > 0`` for the
+    mask variants, and no other variant reads the mask.
     """
-    heat = bundle.heatmap.values.ravel()
-    values, first, classes = np.unique(heat, return_index=True, return_inverse=True)
-    mask = bundle.mask.values.ravel()[first]
+    values, classes = np.unique(bundle.heatmap.values.ravel(), return_inverse=True)
+    mask = (values > 0.0).astype(np.float64)
     return GroundTruthBundle(Grid(values[None]), Grid(mask[None]), bundle.n_objects), classes
 
 
@@ -220,29 +212,30 @@ def fit_direct(scene: SceneAnnotation, sigma: SigmaParams, cfg: FitConfig) -> Fi
     trajectories.  Under a constant initialization the fit therefore runs one
     logit per distinct heatmap value (a pixel class) and scatters the logits
     back to the grid once, at the end; under ``SEEDED_NOISE`` every pixel is
-    its own class.  The bundle is checked once at full size.  A recorded loss
-    is the scale times the pairwise sum of the class terms gathered back onto
-    the grid, the very sum a whole-grid step takes.  An unrecorded step
-    gathers only when a bound cannot prove that sum finite, so a non-finite
-    loss is reported at the same step.  The loss is prepared once per fit;
-    the sigmoid, the loss and the update write into buffers the fit owns.
+    its own class.  A recorded loss is the scale times the pairwise sum of
+    the class terms gathered back onto the grid, the very sum a whole-grid
+    step takes.  An unrecorded step gathers only when a bound cannot prove
+    that sum finite, so a non-finite loss is reported at the same step.  The
+    loss is prepared once per fit; the sigmoid, the loss and the update write
+    into buffers the fit owns.
     """
     bundle = supervision_bundle(scene, sigma, cfg.loss.variant)
     shape = bundle.heatmap.shape
-    loss_step = LossStep(bundle, cfg.loss, shape)  # checks the bundle at full size
-    compressed = cfg.init is not InitMode.SEEDED_NOISE
-    if compressed:
-        class_bundle, classes = _pixel_classes(bundle)
-        loss_step = LossStep(class_bundle, cfg.loss, class_bundle.heatmap.shape)
-        theta = _initial_logits(class_bundle.heatmap.shape, cfg)
-    else:
+    if cfg.init is InitMode.SEEDED_NOISE:
         # every pixel is its own class; the identity view neither sorts nor gathers
-        classes, theta = np.s_[:], _initial_logits(shape, cfg)
+        classes = np.s_[:]
+        noise = _UniformStream(cfg.seed, _NOISE_STREAM).block(shape[0] * shape[1])
+        theta = 2.0 * noise.reshape(shape) - 1.0
+    else:
+        # UNIFORM_HALF and ZEROS_LOGIT coincide: sigmoid(0) == 0.5 exactly
+        bundle, classes = _pixel_classes(bundle)
+        theta = np.zeros(bundle.heatmap.shape)
+    loss_step = LossStep(bundle, cfg.loss, bundle.heatmap.shape)
     scale = loss_step.scale
     # The grid sum of n_px terms of magnitude at most `peak` is at most about
     # peak * n_px.  So `peak * bound < 1e300`, with |scale| taken as at least 1,
     # proves both that sum and the scaled loss finite without gathering.
-    bound = bundle.heatmap.values.size * max(1.0, abs(scale))
+    bound = shape[0] * shape[1] * max(1.0, abs(scale))
     pred, one_minus = np.empty_like(theta), np.empty_like(theta)
     losses: list[tuple[int, float]] = []
     for step in range(1, cfg.steps + 1):
@@ -250,9 +243,7 @@ def fit_direct(scene: SceneAnnotation, sigma: SigmaParams, cfg: FitConfig) -> Fi
         if not (math.isfinite(grad.min()) and math.isfinite(grad.max())):
             raise ValidationError(f"loss gradient became non-finite at step {step}")
         recorded = (step - 1) % cfg.record_every == 0
-        if recorded or not compressed or not (
-            max(float(term.max()), -float(term.min())) * bound < 1e300
-        ):
+        if recorded or not (max(float(term.max()), -float(term.min())) * bound < 1e300):
             value = scale * float(term.ravel()[classes].sum())
             if not math.isfinite(value):
                 raise NonFiniteLossError(

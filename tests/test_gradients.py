@@ -1,5 +1,7 @@
 """Analytic gradients against central finite differences of the loss value."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,17 @@ from helpers import random_instance
 def test_gradient_matches_central_differences(variant):
     worst = max_grad_deviation(variant, size=8, instances=60, seed=987)
     assert worst <= 1e-6
+
+
+def test_grad_check_memory_is_bounded():
+    # perturbing all 576 pixels in one batch peaked at about 50 MB; blocks of 64 near 6 MB
+    tracemalloc.start()
+    try:
+        max_grad_deviation(LossVariant.MASK_FOCAL, size=24, instances=1, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("variant", list(LossVariant))

@@ -239,6 +239,22 @@ class TestEvalLossCommand:
         assert report["grad_file"] == str(grad_p)
         assert read_grid(grad_p).shape == (1, 2)
 
+    def test_csv_grad_out_is_csv(self, tmp_path):
+        pred, heat, cfg = self._write_inputs(tmp_path)
+        grads = {}
+        for name in ("g.csv", "g.grid"):
+            result = run_cli_process(
+                "eval-loss", "--pred", str(pred), "--heatmap", str(heat),
+                "--n-objects", "1", "--loss-config", str(cfg),
+                "--report-out", str(tmp_path / "r.json"), "--grad-out", str(tmp_path / name),
+            )
+            assert result.returncode == 0 and result.stderr == ""
+            grads[name] = tmp_path / name
+        assert not grads["g.csv"].read_bytes().startswith(b"GRID")
+        from_csv, from_grid = read_grid_csv(grads["g.csv"]), read_grid(grads["g.grid"])
+        assert from_csv.shape == (1, 2)
+        np.testing.assert_array_equal(from_csv.values.astype(np.float32), from_grid.values)
+
     def test_dimension_mismatch_error_code(self, tmp_path, capsys):
         pred, heat, cfg = self._write_inputs(tmp_path, pred_shape=(2, 2))
         code, _, err = run_cli(

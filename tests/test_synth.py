@@ -27,6 +27,7 @@ from heatloss import (
     supervision_bundle,
 )
 from heatloss.grid import Grid
+from heatloss.losses import LossStep
 from heatloss.synth import expit
 from helpers import reference_fit
 
@@ -119,6 +120,37 @@ class TestSupervisionBundle:
         assert (bundle.heatmap.values == 1.0).sum() == len(scene.boxes)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    width=st.integers(1, 256),
+    height=st.integers(1, 48),
+    boxes=st.lists(
+        st.tuples(
+            st.integers(0, 2**16),
+            st.integers(0, 2**16),
+            st.floats(0.25, 8.0),
+            st.floats(1.0, 200.0),
+            st.booleans(),
+        ),
+        max_size=4,
+    ),
+    stride=st.integers(1, 4),
+)
+def test_every_supervision_bundle_prepares_every_loss(width, height, boxes, stride):
+    """Boxes up to 200 times longer than wide: the kernel underflows inside them."""
+    scene = SceneAnnotation(
+        width,
+        height,
+        tuple(
+            BoxAnnotation(x % width, y % height, *((side * ratio, side) if wide else (side, side * ratio)))
+            for x, y, side, ratio, wide in boxes
+        ),
+    )
+    for variant in LossVariant:
+        bundle = supervision_bundle(scene, SIGMA, variant, stride)
+        LossStep(bundle, LossConfig(variant), bundle.heatmap.shape)
+
+
 # (height, width, heads) of the scenes, and the losses, that fits are compared on
 REFERENCE_SCENES = [(64, 64, 5), (13, 29, 2), (1, 17, 1), (24, 24, 0)]
 REFERENCE_LOSSES = [
@@ -138,13 +170,15 @@ REFERENCE_LOSSES = [
 
 # Scenes with far fewer pixel classes than pixels, and classes shared between
 # heads: 12 heads on 96x64, two heads on adjacent integer centres (two tied
-# 1.0 keypoints), and no heads at all.
+# 1.0 keypoints), no heads at all, and one 120x1 box inside which the kernel
+# underflows to 0, so its rectangle is wider than the heatmap's support.
 CLASS_SCENES = {
     "96x64_12_heads": generate_scene(SynthParams(seed=3, width=96, height=64, n_heads=12)),
     "adjacent_centres": SceneAnnotation(
         24, 20, (BoxAnnotation(10.0, 9.0, 7.0, 7.0), BoxAnnotation(11.0, 9.0, 7.0, 7.0))
     ),
     "no_heads": generate_scene(SynthParams(seed=4, width=40, height=40, n_heads=0)),
+    "elongated_box": SceneAnnotation(128, 16, (BoxAnnotation(64.0, 8.0, 120.0, 1.0),)),
 }
 
 
