@@ -82,19 +82,14 @@ def _equal_neighbor_map(values: np.ndarray) -> np.ndarray:
     return tied
 
 
-def extract_peaks(heatmap: Grid, window: int = DEFAULT_WINDOW, threshold: float = DEFAULT_THRESHOLD) -> PeakSet:
-    """Select pixels that are neighborhood maxima at or above ``threshold``.
-
-    Edge neighborhoods are truncated.  A qualifying plateau (maximal
-    8-connected equal-value region) keeps only its smallest (y, x) candidate.
-    """
+def _peak_indices(heatmap: Grid, window: int, threshold: float) -> np.ndarray:
+    """Sorted flat indices of the peaks of ``heatmap`` (ascending == (y, x) order)."""
     if window < 3 or window % 2 == 0:
         raise ValidationError(f"window must be odd and >= 3, got {window}")
     if not (0.0 < threshold < 1.0):
         raise ValidationError(f"threshold must lie in (0, 1), got {threshold}")
     if not heatmap.is_unit_range():
         raise ValidationError("heatmap values must lie in [0, 1]")
-
     values = heatmap.values
     h, w = values.shape
     candidates = (values == _window_max(values, window)) & (values >= threshold)
@@ -119,16 +114,25 @@ def extract_peaks(heatmap: Grid, window: int = DEFAULT_WINDOW, threshold: float 
                 if not seen[j] and flat[j] == value:
                     seen[j] = 1
                     stack.append(j)
-    flat_idx = np.flatnonzero(candidates)  # ascending == (y, x) lexicographic
-    peaks = tuple(
-        Peak(x=int(i % w), y=int(i // w), score=float(values.flat[i])) for i in flat_idx
-    )
-    return PeakSet(peaks)
+    return np.flatnonzero(candidates)
+
+
+def extract_peaks(heatmap: Grid, window: int = DEFAULT_WINDOW, threshold: float = DEFAULT_THRESHOLD) -> PeakSet:
+    """Select pixels that are neighborhood maxima at or above ``threshold``.
+
+    Edge neighborhoods are truncated.  A qualifying plateau (maximal
+    8-connected equal-value region) keeps only its smallest (y, x) candidate.
+    """
+    values, w = heatmap.values, heatmap.width
+    return PeakSet(tuple(
+        Peak(x=int(i % w), y=int(i // w), score=float(values.flat[i]))
+        for i in _peak_indices(heatmap, window, threshold)
+    ))
 
 
 def count_image(heatmap: Grid, window: int = DEFAULT_WINDOW, threshold: float = DEFAULT_THRESHOLD) -> int:
-    """Predicted object count: the number of extracted peaks."""
-    return len(extract_peaks(heatmap, window, threshold))
+    """Predicted object count: the number of peaks, found without building them."""
+    return int(_peak_indices(heatmap, window, threshold).size)
 
 
 def compute_metrics(per_image: list[tuple[int, int]]) -> CountReport:

@@ -5,6 +5,9 @@ Builds the three supervision targets used by the loss family:
 * Gaussian heatmap: per-pixel maximum over per-box kernels
   ``exp(-(dx^2 + dy^2) / (2 sigma^2))``, value 1 at box centers, computed as
   ``exp`` of the per-pixel least exponent (equal, as ``exp`` is monotone).
+  Kernels are never truncated; a box skips only the 16x16 tiles where bounds
+  on its exponent, rounded as the render rounds, prove it cannot hold the
+  least one, so the culled render equals the full-grid one bit for bit.
 * Area mask: 1 inside any box rectangle, 0 outside.
 * Binary feature map: identical to the area mask (every box-interior pixel
   is a positive with target value 1).
@@ -26,6 +29,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .grid import Grid
+
+TILE = 16  # side of the square pixel tiles render_heatmap culls boxes on
 
 
 @dataclass(frozen=True)
@@ -114,6 +119,20 @@ def _output_shape(scene: SceneAnnotation, stride: int) -> tuple[int, int]:
     return -(-scene.height // stride), -(-scene.width // stride)
 
 
+def _axis_bounds(centres: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Squared offsets ``(x - c)^2`` per (tile, box) along one axis of ``n`` pixels.
+
+    Returns the offset of the tile pixel nearest each centre and of the tile's
+    farther end pixel, rounded as the render rounds them, so they bound every
+    squared offset the render takes inside the tile.
+    """
+    first = np.arange(0, n, TILE, dtype=np.float64)[:, None]
+    last = np.minimum(first + (TILE - 1), n - 1)
+    near = np.clip(np.rint(centres), first, last) - centres
+    far = np.maximum(np.abs(first - centres), np.abs(last - centres))
+    return near * near, far * far
+
+
 def render_heatmap(scene: SceneAnnotation, params: SigmaParams, stride: int = 1) -> Grid:
     """Render the Gaussian heatmap of ``scene`` at the given output stride.
 
@@ -122,17 +141,52 @@ def render_heatmap(scene: SceneAnnotation, params: SigmaParams, stride: int = 1)
     element-wise maximum, so values stay in [0, 1] and equal 1 exactly at
     centers that land on a pixel.  The maximum is computed as ``exp`` of the
     per-pixel least exponent; ``exp`` is monotone, so the two are equal.
+
+    Kernels are not truncated, but a box updates only the tiles where it can
+    hold the least exponent.  Per ``TILE x TILE`` tile and box, the exponent
+    at the tile pixel nearest the center is a lower bound and the one at the
+    farthest corner an upper bound on every exponent the box has there (the
+    bounds take the render's own float operations, and rounding is
+    monotone).  A box whose lower bound exceeds the tile's least upper bound
+    is never a pixel's minimum in that tile; each box folds into ``least``
+    on the bounding rectangle of the tiles that keep it.  The minimum over
+    a superset of the minimizing boxes is the same float, so the output is
+    the full-grid render bit for bit.
     """
     out_h, out_w = _output_shape(scene, stride)
     ys = np.arange(out_h, dtype=np.float64)[:, None]
     xs = np.arange(out_w, dtype=np.float64)[None, :]
+    cxs = np.array([box.cx / stride for box in scene.boxes])
+    cys = np.array([box.cy / stride for box in scene.boxes])
+    sigmas = [sigma_from_sensing_factor(2.0 * min(box.w, box.h) / stride + 1.0, params) for box in scene.boxes]
+    scales = np.array([2.0 * sigma * sigma for sigma in sigmas])
+    near_x, far_x = _axis_bounds(cxs, out_w)
+    near_y, far_y = _axis_bounds(cys, out_h)
+    rows = np.empty((len(near_y), len(cxs)), dtype=bool)  # (tile row, box): kept in the row
+    cols = np.zeros((len(near_x), len(cxs)), dtype=bool)  # (tile column, box): kept in the column
+    for ty in range(len(near_y)):
+        least_upper = ((far_x + far_y[ty]) / scales).min(axis=1, initial=np.inf)
+        # "not greater" keeps a NaN bound, so a NaN exponent still reaches the output
+        keep = ~((near_x + near_y[ty]) / scales > least_upper[:, None])
+        rows[ty] = keep.any(axis=0)
+        cols |= keep
+    y_first, y_last = rows.argmax(axis=0), len(rows) - rows[::-1].argmax(axis=0)
+    x_first, x_last = cols.argmax(axis=0), len(cols) - cols[::-1].argmax(axis=0)
     least = np.full((out_h, out_w), np.inf)
-    for box in scene.boxes:
-        sigma = sigma_from_sensing_factor(2.0 * min(box.w, box.h) / stride + 1.0, params)
-        dx = xs - box.cx / stride
-        dy = ys - box.cy / stride
-        np.minimum(least, (dx * dx + dy * dy) / (2.0 * sigma * sigma), out=least)
+    for b in np.flatnonzero(rows.any(axis=0)):
+        y0, y1 = y_first[b] * TILE, y_last[b] * TILE
+        x0, x1 = x_first[b] * TILE, x_last[b] * TILE
+        dx = xs[:, x0:x1] - cxs[b]
+        dy = ys[y0:y1] - cys[b]
+        rect = least[y0:y1, x0:x1]
+        np.minimum(rect, (dx * dx + dy * dy) / scales[b], out=rect)
     return Grid(np.exp(-least))  # exp is monotone: exp(-least) is the max of the kernels
+
+
+def _box_span(centre: float, half: float, n: int) -> slice:
+    """Pixels of an axis of ``n`` that may pass ``|x - centre| <= half``, with a
+    one-pixel margin for the rounding of the test."""
+    return slice(max(0, math.floor(centre - half) - 1), min(n, math.ceil(centre + half) + 2))
 
 
 def render_mask(scene: SceneAnnotation, stride: int = 1) -> Grid:
@@ -140,17 +194,20 @@ def render_mask(scene: SceneAnnotation, stride: int = 1) -> Grid:
 
     A pixel (x, y) belongs to a box when its coordinate falls inside
     ``[cx - w/2, cx + w/2] x [cy - h/2, cy + h/2]`` after stride scaling;
-    boundary ties are inclusive.
+    boundary ties are inclusive.  Each box is tested only on its bounding
+    slice.
     """
     out_h, out_w = _output_shape(scene, stride)
     mask = np.zeros((out_h, out_w), dtype=bool)
     ys = np.arange(out_h, dtype=np.float64)[:, None]
     xs = np.arange(out_w, dtype=np.float64)[None, :]
     for box in scene.boxes:
+        cx, cy = box.cx / stride, box.cy / stride
         half_w = box.w / (2.0 * stride)
         half_h = box.h / (2.0 * stride)
-        inside = (np.abs(xs - box.cx / stride) <= half_w) & (np.abs(ys - box.cy / stride) <= half_h)
-        mask |= inside
+        span_y, span_x = _box_span(cy, half_h, out_h), _box_span(cx, half_w, out_w)
+        inside = (np.abs(xs[:, span_x] - cx) <= half_w) & (np.abs(ys[span_y] - cy) <= half_h)
+        mask[span_y, span_x] |= inside
     return Grid(mask.astype(np.float64))
 
 

@@ -364,9 +364,9 @@ def loss_with_grad(pred: Grid, gt: GroundTruthBundle, cfg: LossConfig) -> LossRe
     """
     step = LossStep(gt, cfg, pred.shape)
     term, grad = step.terms(pred.values)
-    total = float(term.sum())  # one pairwise sum over the row-major pixels
-    with np.errstate(over="ignore"):
-        value = step.scale * total  # an overflowing product yields inf
+    with np.errstate(over="ignore"):  # an overflowing sum or product yields inf
+        total = float(term.sum())  # one pairwise sum over the row-major pixels
+        value = step.scale * total
     if not (math.isfinite(grad.min()) and math.isfinite(grad.max())):
         raise ValidationError("loss gradient is non-finite; alpha or eps1 is likely too large")
     return LossResult(value=value, grad=Grid(grad), degenerate_n=step.degenerate)
@@ -381,7 +381,7 @@ def batched_loss_values(preds: np.ndarray, gt: GroundTruthBundle, cfg: LossConfi
     preds = np.asarray(preds, dtype=np.float64)
     step = LossStep(gt, cfg, preds.shape)
     term = step.terms(preds, with_grad=False)[0]
-    # one pairwise sum per flattened grid, the sum loss_with_grad takes
-    totals = term.reshape(preds.shape[:-2] + (gt.heatmap.values.size,)).sum(axis=-1)
-    with np.errstate(over="ignore"):
-        return step.scale * totals  # an overflowing product yields inf
+    with np.errstate(over="ignore"):  # an overflowing sum or product yields inf
+        # one pairwise sum per flattened grid, the sum loss_with_grad takes
+        totals = term.reshape(preds.shape[:-2] + (gt.heatmap.values.size,)).sum(axis=-1)
+        return step.scale * totals

@@ -49,6 +49,7 @@ class TestExtractPeaks:
         for values in tied_grids(np.random.default_rng(75)):
             got = extract_peaks(Grid(values), window=3, threshold=0.3)
             assert [(p.y, p.x) for p in got.peaks] == brute_force_peaks(values, 3, 0.3)
+            assert count_image(Grid(values), 3, 0.3) == len(got)  # counts without Peak objects
 
     def test_matches_brute_force_for_larger_windows(self):
         rng = np.random.default_rng(72)
@@ -104,14 +105,15 @@ class TestExtractPeaks:
 
     def test_invalid_parameters_rejected(self):
         g = Grid(np.zeros((4, 4)))
-        with pytest.raises(ValidationError):
-            extract_peaks(g, window=4, threshold=0.3)
-        with pytest.raises(ValidationError):
-            extract_peaks(g, window=1, threshold=0.3)
-        with pytest.raises(ValidationError):
-            extract_peaks(g, window=3, threshold=0.0)
-        with pytest.raises(ValidationError):
-            extract_peaks(Grid(np.full((3, 3), 2.0)), window=3, threshold=0.3)
+        for find in (extract_peaks, count_image):
+            with pytest.raises(ValidationError):
+                find(g, window=4, threshold=0.3)
+            with pytest.raises(ValidationError):
+                find(g, window=1, threshold=0.3)
+            with pytest.raises(ValidationError):
+                find(g, window=3, threshold=0.0)
+            with pytest.raises(ValidationError):
+                find(Grid(np.full((3, 3), 2.0)), window=3, threshold=0.3)
 
 
 class TestCountImage:

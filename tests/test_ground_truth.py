@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatloss import (
     AnchorSet,
@@ -18,6 +20,7 @@ from heatloss import (
     render_mask,
     sigma_from_sensing_factor,
 )
+from heatloss.ground_truth import TILE
 
 
 class TestComputeSigma:
@@ -140,6 +143,58 @@ class TestRenderHeatmap:
     def test_odd_dimensions_use_ceiling(self):
         heat = render_heatmap(SceneAnnotation(21, 9, ()), SigmaParams(), stride=4)
         assert heat.shape == (3, 6)
+
+
+def _per_box_union(scene, stride):
+    """Reference mask: one full-grid rectangle test per box, combined by union."""
+    out_h, out_w = -(-scene.height // stride), -(-scene.width // stride)
+    ys, xs = np.mgrid[0:out_h, 0:out_w].astype(float)
+    expected = np.zeros((out_h, out_w), dtype=bool)
+    for box in scene.boxes:
+        expected |= (np.abs(xs - box.cx / stride) <= box.w / (2.0 * stride)) & (
+            np.abs(ys - box.cy / stride) <= box.h / (2.0 * stride)
+        )
+    return expected.astype(float)
+
+
+def _coordinate(n):
+    """A centre coordinate in [0, n): on a pixel, on or beside a tile edge, on
+    the grid's first or last pixel or its far edge, or off the integer grid."""
+    on_tile_edge = st.tuples(st.integers(0, n // TILE), st.sampled_from([-1.0, -0.5, 0.0, 0.5])).map(
+        lambda t: min(max(t[0] * TILE + t[1], 0.0), n - 1.0)
+    )
+    return st.one_of(
+        st.integers(0, n - 1).map(float),
+        on_tile_edge,
+        st.sampled_from([0.0, n - 1.0, math.nextafter(n, 0.0)]),
+        st.floats(0.0, n, exclude_max=True),
+    )
+
+
+@st.composite
+def _scenes(draw):
+    side = st.one_of(st.integers(1, 160), st.integers(65, 160))  # half the grids span 5+ tiles
+    width, height, n = draw(side), draw(side), draw(st.integers(0, 80))
+    sides = st.floats(0.05, 200.0)
+    box = st.builds(BoxAnnotation, _coordinate(width), _coordinate(height), sides, sides)
+    return SceneAnnotation(width, height, tuple(draw(st.lists(box, min_size=n, max_size=n))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(
+    scene=_scenes(),
+    # eps_sigma = 1e3 makes kernels narrow enough that the far field underflows
+    # to 0; at 1e-200, 2 sigma^2 overflows and every kernel is flat at 1
+    params=st.builds(SigmaParams, st.sampled_from([0.0, 1.0, 3.0]),
+                     st.sampled_from([1e-200, 0.05, 3.0, 50.0, 1e3])),
+    stride=st.integers(1, 4),
+)
+def test_culled_renders_equal_full_grid_references(scene, params, stride):
+    """Many 16x16 tiles: culling keeps every box that can be a pixel's nearest kernel."""
+    np.testing.assert_array_equal(
+        render_heatmap(scene, params, stride).values, _per_box_maximum(scene, params, stride)
+    )
+    np.testing.assert_array_equal(render_mask(scene, stride).values, _per_box_union(scene, stride))
 
 
 class TestRenderMask:

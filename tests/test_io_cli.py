@@ -269,8 +269,8 @@ class TestEvalLossCommand:
 
 
 class TestGradientOverflow:
-    """A huge scale overflows the gradient, in float64 or in the float32 grid
-    file; both commands fail cleanly and write nothing."""
+    """A huge scale or eps1 overflows the gradient (in float64 or in the float32
+    grid file) or the loss sum; both commands fail cleanly and write nothing."""
 
     POLY1 = {"variant": "POLY1_PIXELWISE", "alpha": 6e307, "gamma": 0.0, "eps1": 1.0}
 
@@ -278,7 +278,10 @@ class TestGradientOverflow:
         ("fit", POLY1, "loss gradient became non-finite at step 1"),
         ("eval-loss", POLY1, "loss gradient is non-finite"),
         ("eval-loss", {"variant": "HEATMAP_FOCAL", "alpha": 1e300}, "float32 range of the grid format"),
-    ], ids=["fit", "eval-loss", "eval-loss-float32"])
+        # every term is finite, but their sum overflows float64
+        ("eval-loss", {"variant": "POLY1_PIXELWISE", "gamma": 0.0, "eps1": 1e308},
+         "float32 range of the grid format"),
+    ], ids=["fit", "eval-loss", "eval-loss-float32", "eval-loss-sum"])
     def test_validation_error_without_runtime_warning(self, tmp_path, command, loss, message):
         ann = tmp_path / "scene.json"
         scene = write_scene(ann, width=16, height=16, boxes=((5.0, 5.0, 6.0, 6.0),))
