@@ -5,10 +5,12 @@ A detection is a pixel whose value equals the maximum of its
 confidence threshold; the number of peaks is the predicted count.
 
 A plateau (maximal 8-connected equal-value region, possibly running through
-non-candidates) yields one peak: candidates with an equal neighbor are
-visited in (y, x) order, and each one not yet reached is kept and floods its
-plateau, dropping the later candidates on it.  Only plateaus that hold
-candidates are flooded, never the whole grid.
+non-candidates) yields one peak, its least (y, x) candidate.  Plateaus are
+labelled in numpy over row runs (Rosenfeld and Pfaltz 1966), only on the
+pixels that share a value with a tied candidate: each run links to the
+equal-valued runs above it, and the links are merged by root hooking and
+pointer jumping (Shiloach and Vishkin 1982).  That is a few numpy passes
+over those pixels; no Python loop visits a pixel.
 
 All functions are pure; per-image evaluation parallelizes trivially and the
 metric aggregation is order-independent.
@@ -57,11 +59,16 @@ class CountReport:
 
 
 def _window_max(values: np.ndarray, window: int) -> np.ndarray:
-    """Exact ``window x window`` max: ``window - 1`` in-place row and column folds."""
-    (h, w), r = values.shape, window // 2
+    """Exact ``window x window`` max: ``2 r`` in-place row and column folds.
+
+    The radius ``r`` is clamped to ``max(h, w) - 1``: from there on every
+    truncated neighborhood is the whole grid, so the max is the same.
+    """
+    h, w = values.shape
+    r = min(window // 2, max(h, w) - 1)
     out = np.full((h + 2 * r, w + 2 * r), -np.inf)
     out[r : r + h, r : r + w] = values
-    for _ in range(window - 1):
+    for _ in range(2 * r):
         np.maximum(out[:, :-1], out[:, 1:], out=out[:, :-1])
         np.maximum(out[:-1], out[1:], out=out[:-1])
     return out[:h, :w]
@@ -83,38 +90,70 @@ def _equal_neighbor_map(values: np.ndarray) -> np.ndarray:
 
 
 def _peak_indices(heatmap: Grid, window: int, threshold: float) -> np.ndarray:
-    """Sorted flat indices of the peaks of ``heatmap`` (ascending == (y, x) order)."""
+    """Sorted flat indices of the peaks of ``heatmap`` (ascending == (y, x) order).
+
+    Candidates without an equal neighbor are peaks as they stand; the tied
+    ones are grouped by plateau over row runs, and each plateau keeps its
+    least flat-index tied candidate.
+    """
     if window < 3 or window % 2 == 0:
         raise ValidationError(f"window must be odd and >= 3, got {window}")
     if not (0.0 < threshold < 1.0):
         raise ValidationError(f"threshold must lie in (0, 1), got {threshold}")
     if not heatmap.is_unit_range():
         raise ValidationError("heatmap values must lie in [0, 1]")
-    values = heatmap.values
-    h, w = values.shape
+    values, w = heatmap.values, heatmap.width
     candidates = (values == _window_max(values, window)) & (values >= threshold)
-    # NaN border: it equals nothing, so the flood needs no bounds checks.
-    stride = w + 2
-    padded = np.full((h + 2, w + 2), np.nan)
-    padded[1:-1, 1:-1] = values
-    flat, seen = memoryview(padded.ravel()), bytearray(padded.size)
-    steps = (-stride - 1, -stride, -stride + 1, -1, 1, stride - 1, stride, stride + 1)
-    for y, x in zip(*np.nonzero(candidates & _equal_neighbor_map(values))):
-        start = (int(y) + 1) * stride + int(x) + 1
-        if seen[start]:
-            candidates[y, x] = False
-            continue
-        value = flat[start]
-        seen[start] = 1
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for step in steps:
-                j = i + step
-                if not seen[j] and flat[j] == value:
-                    seen[j] = 1
-                    stack.append(j)
-    return np.flatnonzero(candidates)
+    flat, equal = values.ravel(), _equal_neighbor_map(values).ravel()
+    tied = np.flatnonzero(candidates.ravel() & equal)
+    if not tied.size:
+        return np.flatnonzero(candidates)
+    # The region: pixels with an equal neighbor and a tied candidate's value.
+    region = np.flatnonzero(equal)
+    region = region[np.isin(flat[region], np.unique(flat[tied]))]
+    v, x = flat[region], region % w
+    # Row runs: a pixel starts a run unless it is the next pixel of the same
+    # row after an equal-valued region pixel.
+    starts = np.ones(region.size, dtype=bool)
+    starts[1:] = (np.diff(region) != 1) | (x[1:] == 0) | (v[1:] != v[:-1])
+    run = np.cumsum(starts) - 1
+    run_of = np.full(flat.size, -1)
+    run_of[region] = run
+    runs = int(run[-1]) + 1
+    # Links to the equal-valued runs above at dx -1/0/+1.  A diagonal above
+    # an inner run pixel is straight above its run neighbor, so only run
+    # starts look up-left and only run ends look up-right.  Each dx's keys
+    # ascend in region order, so adjacent repeats are all its duplicates.
+    ends = np.append(starts[1:], True)
+    keys = []
+    for dx, at in ((-1, starts & (x > 0)), (0, True), (1, ends & (x < w - 1))):
+        sel = np.flatnonzero(at & (region >= w))
+        q = region[sel] - w + dx
+        link = (run_of[q] >= 0) & (flat[q] == v[sel])
+        key = run[sel[link]] * runs + run_of[q[link]]
+        keys.append(key[np.diff(key, prepend=-1) != 0])
+    key = np.unique(np.concatenate(keys))
+    a, b = key // runs, key % runs
+    # Components: hook the greater root of each split link to the lesser,
+    # then jump pointers until every run points at its root.
+    root = np.arange(runs)
+    while True:
+        ra, rb = root[a], root[b]
+        split = ra != rb
+        if not split.any():
+            break
+        np.minimum.at(root, np.maximum(ra, rb)[split], np.minimum(ra, rb)[split])
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    # Each plateau keeps its least tied candidate.
+    _, first = np.unique(root[run_of[tied]], return_index=True)
+    keep = candidates.ravel()
+    keep[tied] = False
+    keep[tied[first]] = True
+    return np.flatnonzero(keep)
 
 
 def extract_peaks(heatmap: Grid, window: int = DEFAULT_WINDOW, threshold: float = DEFAULT_THRESHOLD) -> PeakSet:

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from heatloss import (
     BoxAnnotation,
@@ -20,6 +23,29 @@ from heatloss import (
     render_heatmap,
 )
 from helpers import brute_force_peaks
+
+
+def serpentine(h, w, value=0.7):
+    """Full rows on even lines, joined by one pixel at alternating ends."""
+    values = np.zeros((h, w))
+    values[::2] = value
+    for y in range(1, h, 2):
+        values[y, w - 1 if y % 4 == 1 else 0] = value
+    return values
+
+
+def spiral(n, value=0.7):
+    """A 1-px wall winding inward from (0, 0) with 1-px corridors."""
+    values = np.zeros((n, n))
+    values[0, 0] = value
+    y = x = 0
+    lengths = [n - 1] * 3 + [m for m in range(n - 3, 0, -2) for _ in range(2)]
+    for i, length in enumerate(lengths):
+        dy, dx = ((0, 1), (1, 0), (0, -1), (-1, 0))[i % 4]
+        for _ in range(length):
+            y, x = y + dy, x + dx
+            values[y, x] = value
+    return values
 
 
 def tied_grids(rng, per_shape=10):
@@ -103,6 +129,11 @@ class TestExtractPeaks:
         squared = extract_peaks(Grid(values**2), 3, 0.3**2)
         assert [(p.x, p.y) for p in base.peaks] == [(p.x, p.y) for p in squared.peaks]
 
+    def test_huge_window_equals_the_whole_grid_window(self):
+        g = Grid(np.random.default_rng(79).integers(0, 5, (5, 9)) / 4.0)
+        assert extract_peaks(g, 10**6 + 1) == extract_peaks(g, 2 * 9 - 1)
+        assert count_image(g, 10**6 + 1) == count_image(g, 2 * 9 - 1)
+
     def test_invalid_parameters_rejected(self):
         g = Grid(np.zeros((4, 4)))
         for find in (extract_peaks, count_image):
@@ -114,6 +145,66 @@ class TestExtractPeaks:
                 find(g, window=3, threshold=0.0)
             with pytest.raises(ValidationError):
                 find(Grid(np.full((3, 3), 2.0)), window=3, threshold=0.3)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    values=st.tuples(st.sampled_from([3, 4]), st.integers(1, 40), st.integers(1, 40)).flatmap(
+        lambda kh: arrays(np.int64, kh[1:], elements=st.integers(0, kh[0]), fill=st.nothing()).map(lambda a, k=kh[0]: a / k)
+    ),
+    window=st.sampled_from([3, 5, 7]),
+    threshold=st.sampled_from([0.2, 0.3, 0.5, 0.7, 0.99]),
+)
+def test_plateau_labelling_equals_brute_force(values, window, threshold):
+    """Quantized grids (k/3, k/4) are full of plateaus of every shape."""
+    got = extract_peaks(Grid(values), window, threshold)
+    assert [(p.y, p.x) for p in got.peaks] == brute_force_peaks(values, window, threshold)
+    assert count_image(Grid(values), window, threshold) == len(got)
+
+
+class TestPlateauShapes:
+    """Plateaus whose runs join only through long paths, diagonals, or not at all."""
+
+    @staticmethod
+    def coords(values):
+        return [(p.y, p.x) for p in extract_peaks(Grid(values), 3, 0.3).peaks]
+
+    @pytest.mark.parametrize("values", [serpentine(63, 64), serpentine(64, 9), spiral(64), spiral(9)])
+    def test_winding_plateau_has_one_peak_at_its_least_index(self, values):
+        assert self.coords(values) == [(0, 0)] == brute_force_peaks(values, 3, 0.3)
+
+    @pytest.mark.parametrize("upper, lower, expected", [
+        (np.s_[1:3], np.s_[3:5], (1, 1)),  # the lower run's start looks up-left
+        (np.s_[3:5], np.s_[1:3], (1, 3)),  # the lower run's end looks up-right
+    ])
+    def test_runs_joined_only_diagonally_form_one_plateau(self, upper, lower, expected):
+        values = np.zeros((4, 6))
+        values[1, upper] = values[2, lower] = 0.8
+        assert self.coords(values) == [expected]
+
+    @pytest.mark.parametrize("cells, expected", [
+        # a run ending at x = w - 1 and an equal run starting at x = 0 below it
+        (((0, np.s_[3:5]), (1, np.s_[0:2])), [(0, 3), (1, 0)]),
+        # up-left of x = 0 is the end of the row two above
+        (((0, np.s_[3:5]), (2, np.s_[0:2])), [(0, 3), (2, 0)]),
+        # up-right of x = w - 1 is the start of the same row
+        (((1, np.s_[0:2]), (2, np.s_[0:2]), (1, np.s_[4:5]), (2, np.s_[4:5])), [(1, 0), (1, 4)]),
+    ])
+    def test_runs_do_not_join_across_the_row_wrap(self, cells, expected):
+        values = np.zeros((3, 5))
+        for y, xs in cells:
+            values[y, xs] = 0.8
+        assert self.coords(values) == expected == brute_force_peaks(values, 3, 0.3)
+
+    def test_background_plateau_with_spikes(self):
+        """A fit's background: one plateau above the threshold, cut by spikes."""
+        rng = np.random.default_rng(78)
+        values = np.full((64, 64), 0.46839)
+        spikes = rng.random(values.shape) < 0.02
+        values[spikes] = rng.uniform(0.5, 1.0, int(spikes.sum()))
+        got = self.coords(values)
+        assert got == brute_force_peaks(values, 3, 0.3)
+        assert sum(values[p] == 0.46839 for p in got) == 1
 
 
 class TestCountImage:

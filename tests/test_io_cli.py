@@ -9,6 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from heatloss import (
     BoxAnnotation,
@@ -61,17 +64,26 @@ def write_scene(path, width=32, height=32, boxes=((16.0, 16.0, 6.0, 6.0),)):
     return scene
 
 
+# 1xN, Nx1 and NxM grids
+GRID_SHAPES = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 40)),
+    st.tuples(st.integers(1, 40), st.just(1)),
+    st.tuples(st.integers(2, 12), st.integers(2, 12)),
+)
+
+
 class TestGridFormats:
-    def test_binary_round_trip_is_bit_identical(self, tmp_path):
-        rng = np.random.default_rng(91)
-        grid = Grid(rng.random((7, 11)))
-        path = tmp_path / "grid.bin"
-        write_grid(grid, path)
-        reread = read_grid(path)
-        np.testing.assert_array_equal(reread.values, grid.values.astype("<f4").astype(np.float64))
-        second = tmp_path / "grid2.bin"
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(values=arrays(np.float64, GRID_SHAPES, elements=st.floats(-1e38, 1e38), fill=st.nothing()))
+    def test_binary_round_trip_is_bit_identical(self, tmp_path_factory, values):
+        """Bit-stable from the first write onward."""
+        first, second = (tmp_path_factory.mktemp("grid") / name for name in ("a.grid", "b.grid"))
+        write_grid(Grid(values), first)
+        reread = read_grid(first)
+        assert reread.shape == values.shape
+        np.testing.assert_array_equal(reread.values, values.astype("<f4").astype(np.float64))
         write_grid(reread, second)
-        assert path.read_bytes() == second.read_bytes()
+        assert first.read_bytes() == second.read_bytes()
 
     def test_header_and_payload_errors(self, tmp_path):
         bad = tmp_path / "bad.bin"
@@ -83,15 +95,40 @@ class TestGridFormats:
         with pytest.raises(SchemaError):
             read_grid(short)
 
-    def test_csv_round_trip_preserves_float32_values(self, tmp_path):
-        rng = np.random.default_rng(92)
-        grid = Grid(rng.random((4, 6)).astype(np.float32).astype(np.float64))
-        path = tmp_path / "grid.csv"
-        write_grid_csv(grid, path)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(values=arrays(np.float32, GRID_SHAPES, elements=st.floats(width=32, allow_nan=False, allow_infinity=False),
+                          fill=st.nothing()))
+    def test_csv_round_trip_preserves_float32_values(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("grid") / "grid.csv"
+        write_grid_csv(Grid(values), path)
         reread = read_grid_csv(path)
-        np.testing.assert_array_equal(
-            reread.values.astype(np.float32), grid.values.astype(np.float32)
-        )
+        assert reread.shape == values.shape
+        np.testing.assert_array_equal(reread.values.astype(np.float32), values)
+
+
+class TestMalformedGridFiles:
+    @pytest.mark.parametrize("name, content, needle", [
+        ("missing-field.grid", b"GRID 2\n" + bytes(8), "malformed grid header"),
+        ("extra-field.grid", b"GRID 1 1 1\n" + bytes(4), "malformed grid header"),
+        ("float-size.grid", b"GRID 1.0 1\n" + bytes(4), "non-integer"),
+        ("word-size.grid", b"GRID w 1\n" + bytes(4), "non-integer"),
+        ("zero-size.grid", b"GRID 0 1\n", "must be positive"),
+        ("negative-size.grid", b"GRID 1 -2\n", "must be positive"),
+        ("truncated.grid", b"GRID 2 2\n" + bytes(15), "expected 16 payload bytes, found 15"),
+        ("long.grid", b"GRID 2 2\n" + bytes(17), "expected 16 payload bytes, found 17"),
+        ("no-newline.grid", b"GRID 1 1", "missing 'GRID <w> <h>' header"),
+        ("ragged.csv", b"0.1,0.2\n0.3\n", "malformed grid CSV"),
+        ("empty-field.csv", b"0.1,,0.2\n", "malformed grid CSV"),
+        ("empty-row-fields.csv", b"0.1,0.2\n,\n", "malformed grid CSV"),
+    ])
+    def test_reader_errors_are_schema_errors(self, tmp_path, capsys, name, content, needle):
+        heat = tmp_path / name
+        heat.write_bytes(content)
+        code, out, err = run_cli(capsys, "peaks", "--heatmap", str(heat), "--out", str(tmp_path / "p.json"))
+        assert code == 2 and out == ""
+        payload = error_payload(err)
+        assert payload["error"] == "SCHEMA_ERROR" and needle in payload["message"]
+        assert not (tmp_path / "p.json").exists()
 
 
 class TestAnnotationJson:
@@ -390,6 +427,18 @@ class TestPeaksAndCountCommands:
             {"x": 3, "y": 2, "score": pytest.approx(0.9, rel=1e-6)},
             {"x": 6, "y": 6, "score": pytest.approx(0.5, rel=1e-6)},
         ]
+
+    def test_huge_window_is_the_whole_grid_window(self, tmp_path):
+        values = np.random.default_rng(93).integers(0, 5, (3, 4)) / 4.0
+        heat = tmp_path / "heat.csv"
+        write_grid_csv(Grid(values), heat)
+        peaks = {}
+        for window in ("99999999999", str(2 * 4 - 1)):
+            out = tmp_path / f"peaks-{window}.json"
+            result = run_cli_process("peaks", "--heatmap", str(heat), "--window", window, "--out", str(out))
+            assert result.returncode == 0 and result.stderr == ""
+            peaks[window] = json.loads(out.read_text())
+        assert peaks["99999999999"] == peaks["7"] and peaks["7"]["peaks"]
 
     def test_eval_count_report(self, tmp_path, capsys):
         counts = tmp_path / "counts.json"
