@@ -20,18 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from . import serialization as ser
-from .counting import compute_metrics, extract_peaks
+from .counting import DEFAULT_THRESHOLD, DEFAULT_WINDOW, compute_metrics, extract_peaks
 from .errors import HeatlossError, SchemaError, ValidationError
 from .grid import Grid, read_grid, read_grid_csv, write_grid, write_grid_csv
 from .ground_truth import SigmaParams, interpolate_boxes, render_heatmap, render_mask
 from .ground_truth import SceneAnnotation
-from .losses import (
-    GroundTruthBundle,
-    LossConfig,
-    LossVariant,
-    batched_loss_values,
-    loss_with_grad,
-)
+from .losses import _BINARY_GT_VARIANTS, _MASK_VARIANTS, GroundTruthBundle, LossConfig, LossVariant
+from .losses import batched_loss_values, loss_with_grad
 from .synth import FitConfig, InitMode, SynthParams, fit_direct, generate_scene, run_desk_experiment
 
 GRAD_CHECK_TOLERANCE = 1e-6
@@ -112,44 +107,46 @@ def _cmd_eval_loss(args: argparse.Namespace) -> int:
     return 0
 
 
-def _grad_check_instances(variant: LossVariant, size: int, instances: int, seed: int):
-    """Random (pred, bundle, config) triples away from branch kinks."""
-    rng = np.random.default_rng(seed)
-    for _ in range(instances):
-        cfg = LossConfig(
-            variant=variant,
-            alpha=float(rng.choice([0.25, 0.5, 1.0])),
-            beta=float(rng.choice([0.0, 0.5, 1.0, 2.0, 4.0])),
-            gamma=float(rng.choice([0.0, 0.5, 1.0, 2.0, 4.0])),
-            eps1=float(rng.choice([0.0, 0.5, 1.0])),
-        )
-        if variant in (LossVariant.FOCAL_SCALAR, LossVariant.ALPHA_FOCAL):
-            heat = rng.integers(0, 2, size=(size, size)).astype(np.float64)
-            mask = heat
-        elif variant in (LossVariant.MASK_FOCAL, LossVariant.MASK_FOCAL_POLY1):
-            mask = (rng.random((size, size)) < 0.5).astype(np.float64)
-            heat = np.where(mask == 1.0, rng.uniform(0.05, 1.0, (size, size)), 0.0)
-            keypoints = (rng.random((size, size)) < 0.1) & (mask == 1.0)
-            heat = np.where(keypoints, 1.0, heat)
-        else:
-            heat = rng.uniform(0.0, 1.0, (size, size))
-            keypoints = rng.random((size, size)) < 0.1
-            heat = np.where(keypoints, 1.0, heat)
-            mask = (heat > 0.0).astype(np.float64)
-        pred = rng.uniform(0.05, 0.95, (size, size))
-        # keep a margin from the |p - q| kink of the mask variants
-        near_kink = np.abs(pred - heat) < 1e-3
-        pred = np.where(near_kink, pred + 2e-3, pred)
-        bundle = GroundTruthBundle(Grid(heat), Grid(mask), int(rng.integers(1, 6)))
-        yield Grid(pred), bundle, cfg
+def random_instance(
+    variant: LossVariant, rng: np.random.Generator, size: int | tuple[int, int] = 8
+) -> tuple[Grid, GroundTruthBundle, LossConfig]:
+    """A random prediction/ground-truth/config triple valid for ``variant``.
+
+    ``size`` is the side of a square grid or a ``(height, width)`` shape.
+    Predictions stay inside [0.05, 0.95] and at least 1e-3 away from the
+    prediction-error kink so finite differences are well posed.
+    """
+    cfg = LossConfig(
+        variant=variant,
+        alpha=float(rng.choice([0.25, 0.5, 1.0])),
+        beta=float(rng.choice([0.0, 0.5, 1.0, 2.0, 4.0])),
+        gamma=float(rng.choice([0.0, 0.5, 1.0, 2.0, 4.0])),
+        eps1=float(rng.choice([0.0, 0.5, 1.0])),
+    )
+    shape = (size, size) if isinstance(size, int) else tuple(size)
+    if variant in _BINARY_GT_VARIANTS:
+        heat = mask = rng.integers(0, 2, size=shape).astype(np.float64)
+    elif variant in _MASK_VARIANTS:
+        mask = (rng.random(shape) < 0.5).astype(np.float64)
+        heat = np.where(mask == 1.0, rng.uniform(0.05, 1.0, shape), 0.0)
+        heat = np.where((rng.random(shape) < 0.1) & (mask == 1.0), 1.0, heat)
+    else:
+        heat = rng.uniform(0.0, 1.0, shape)
+        heat = np.where(rng.random(shape) < 0.1, 1.0, heat)
+        mask = (heat > 0.0).astype(np.float64)
+    pred = rng.uniform(0.05, 0.95, shape)
+    pred = np.where(np.abs(pred - heat) < 1e-3, pred + 2e-3, pred)
+    bundle = GroundTruthBundle(Grid(heat), Grid(mask), int(rng.integers(1, 6)))
+    return Grid(pred), bundle, cfg
 
 
 def max_grad_deviation(variant: LossVariant, size: int, instances: int, seed: int, step: float = 1e-6) -> float:
     """Max relative deviation between analytic gradients and central differences."""
     if size < 1 or instances < 1 or seed < 0:
         raise ValidationError(f"need size >= 1, instances >= 1, seed >= 0; got {size}, {instances}, {seed}")
-    n, worst = size * size, 0.0
-    for pred, bundle, cfg in _grad_check_instances(variant, size, instances, seed):
+    n, worst, rng = size * size, 0.0, np.random.default_rng(seed)
+    for _ in range(instances):
+        pred, bundle, cfg = random_instance(variant, rng, size)
         grad = loss_with_grad(pred, bundle, cfg).grad.values.ravel()
         fd = np.empty(n)
         for start in range(0, n, _FD_BLOCK):
@@ -259,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render-gt", help="render heatmap/mask/binary grids from an annotation")
     p.add_argument("--annotation", required=True)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--eps-sigma", type=float, default=3.0)
+    p.add_argument("--eta", type=float, default=SigmaParams.eta)
+    p.add_argument("--eps-sigma", type=float, default=SigmaParams.eps_sigma)
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--heatmap-out")
     p.add_argument("--mask-out")
@@ -295,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("peaks", help="extract peaks from a heatmap grid")
     p.add_argument("--heatmap", required=True)
-    p.add_argument("--window", type=int, default=3)
-    p.add_argument("--threshold", type=float, default=0.3)
+    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_peaks)
 
@@ -310,21 +307,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--n-heads", type=int, required=True)
-    p.add_argument("--min-side", type=float, default=6.0)
-    p.add_argument("--max-side", type=float, default=12.0)
-    p.add_argument("--min-gap", type=float, default=0.0)
+    p.add_argument("--min-side", type=float, default=SynthParams.size_range[0])
+    p.add_argument("--max-side", type=float, default=SynthParams.size_range[1])
+    p.add_argument("--min-gap", type=float, default=SynthParams.min_center_gap)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("fit", help="fit a free prediction grid to a scene under one loss")
     p.add_argument("--annotation", required=True)
     p.add_argument("--loss-config", required=True)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--eps-sigma", type=float, default=3.0)
+    p.add_argument("--eta", type=float, default=SigmaParams.eta)
+    p.add_argument("--eps-sigma", type=float, default=SigmaParams.eps_sigma)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--learning-rate", type=float, required=True)
-    p.add_argument("--init", default=InitMode.UNIFORM_HALF.value, choices=[m.value for m in InitMode])
-    p.add_argument("--record-every", type=int, default=1)
+    p.add_argument("--init", default=FitConfig.init.value, choices=[m.value for m in InitMode])
+    p.add_argument("--record-every", type=int, default=FitConfig.record_every)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trace-out", help="CSV of step,loss")
     p.add_argument("--pred-out", help="grid dump of the fitted prediction")

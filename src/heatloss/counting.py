@@ -59,18 +59,25 @@ class CountReport:
 
 
 def _window_max(values: np.ndarray, window: int) -> np.ndarray:
-    """Exact ``window x window`` max: ``2 r`` in-place row and column folds.
+    """Exact ``window x window`` max in ``O(log r)`` in-place folds per axis.
 
-    The radius ``r`` is clamped to ``max(h, w) - 1``: from there on every
+    On the grid padded by ``r`` with ``-inf``, a fold at offset ``t <= s``
+    turns maxima over spans of ``s`` entries into maxima over ``s + t``.
+    Offsets 1, 2, 4, ... double the span while it fits in ``2 r + 1``; one
+    last, shorter offset makes two overlapping spans cover the window.  The
+    radius ``r`` is clamped to ``max(h, w) - 1``: from there on every
     truncated neighborhood is the whole grid, so the max is the same.
     """
     h, w = values.shape
     r = min(window // 2, max(h, w) - 1)
     out = np.full((h + 2 * r, w + 2 * r), -np.inf)
     out[r : r + h, r : r + w] = values
-    for _ in range(2 * r):
-        np.maximum(out[:, :-1], out[:, 1:], out=out[:, :-1])
-        np.maximum(out[:-1], out[1:], out=out[:-1])
+    size, span = 2 * r + 1, 1
+    while span < size:
+        t = min(span, size - span)
+        np.maximum(out[:, :-t], out[:, t:], out=out[:, :-t])
+        np.maximum(out[:-t], out[t:], out=out[:-t])
+        span += t
     return out[:h, :w]
 
 

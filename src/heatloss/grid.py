@@ -6,7 +6,9 @@ file format stores little-endian float32, so a write/read round trip is
 bit-stable from the first write onward.
 
 Binary format: one ASCII header line ``GRID <width> <height>\\n`` followed by
-``width * height`` little-endian 32-bit floats in row-major order.
+``width * height`` little-endian 32-bit floats in row-major order.  The sizes
+are positive decimal integers without sign or leading zeros, separated by
+single spaces; a reader rejects any other header.
 """
 
 from __future__ import annotations
@@ -90,8 +92,12 @@ def read_grid(path: str | Path) -> Grid:
     expected = width * height * 4
     if len(body) != expected:
         raise SchemaError(f"{path}: expected {expected} payload bytes, found {len(body)}")
-    values = np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(height, width)
-    return Grid(values)
+    grid = Grid(np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(height, width))
+    # last, so a file that fails an earlier check still reports that failure
+    header = f"GRID {width} {height}".encode("ascii")
+    if raw[:newline] != header:
+        raise SchemaError(f"{path}: non-canonical grid header {raw[:newline]!r}, expected {header!r}")
+    return grid
 
 
 def write_grid_csv(grid: Grid, path: str | Path) -> None:

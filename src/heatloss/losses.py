@@ -149,16 +149,14 @@ class LossResult:
     degenerate_n: bool = False
 
 
-def focal_scalar(sample: ScalarSample, gamma: float, clamp: float = 1e-4) -> float:
+def focal_scalar(sample: ScalarSample, gamma: float, clamp: float = LossConfig.clamp) -> float:
     """Focal loss ``-(1 - p_t)^gamma * ln(p_t)`` for one scalar sample.
 
     ``p_t`` is the predicted probability of the true class; the prediction is
-    clamped to ``[clamp, 1 - clamp]`` first.
+    clamped to ``[clamp, 1 - clamp]`` first.  ``gamma`` and ``clamp`` are
+    checked as :class:`LossConfig` checks them.
     """
-    if not (math.isfinite(gamma) and gamma >= 0):
-        raise ValidationError(f"gamma must be finite and >= 0, got {gamma}")
-    if not (0.0 < clamp < 0.5):
-        raise ValidationError(f"clamp must lie in (0, 0.5), got {clamp}")
+    LossConfig(LossVariant.FOCAL_SCALAR, gamma=gamma, clamp=clamp)
     q = min(max(sample.p, clamp), 1.0 - clamp)
     p_t = q if sample.c == 1 else 1.0 - q
     return -((1.0 - p_t) ** gamma) * math.log(p_t)

@@ -16,7 +16,7 @@ from .counting import CountReport, PeakSet
 from .errors import SchemaError
 from .ground_truth import AnchorSet, BoxAnnotation, SceneAnnotation, SigmaParams
 from .losses import LossConfig
-from .synth import FitConfig, FitTrace, InitMode
+from .synth import FitConfig, FitTrace
 
 
 def _load_json(path: str | Path) -> Any:
@@ -99,12 +99,11 @@ def load_points(path: str | Path) -> list[tuple[float, float]]:
 
 def loss_config_from_obj(obj: Any, where: str = "loss config") -> LossConfig:
     variant = _require(obj, "variant", str, where)
-    kwargs = {}
-    for key in ("alpha", "beta", "gamma", "eps1", "clamp"):
-        if key in obj:
-            if not isinstance(obj[key], (int, float)) or isinstance(obj[key], bool):
-                raise SchemaError(f"{where}: key {key!r} has wrong type {type(obj[key]).__name__}")
-            kwargs[key] = float(obj[key])
+    kwargs = {
+        key: float(_require(obj, key, float, where))
+        for key in ("alpha", "beta", "gamma", "eps1", "clamp")
+        if key in obj
+    }
     return LossConfig(variant=variant, **kwargs)
 
 
@@ -169,19 +168,14 @@ def sigma_params_from_obj(obj: Any, where: str = "sigma") -> SigmaParams:
 
 
 def fit_config_from_obj(obj: Any, loss: LossConfig, seed: int | None, where: str = "fit") -> FitConfig:
-    init_raw = obj.get("init", InitMode.UNIFORM_HALF.value)
-    if not isinstance(init_raw, str):
-        raise SchemaError(f"{where}: key 'init' has wrong type {type(init_raw).__name__}")
-    record_every = obj.get("record_every", 1)
-    if not isinstance(record_every, int) or isinstance(record_every, bool):
-        raise SchemaError(f"{where}: key 'record_every' has wrong type {type(record_every).__name__}")
+    optional = (("init", str), ("record_every", int))
+    kwargs = {key: _require(obj, key, kind, where) for key, kind in optional if key in obj}
     return FitConfig(
         loss=loss,
         steps=_require(obj, "steps", int, where),
         learning_rate=float(_require(obj, "learning_rate", float, where)),
-        init=init_raw,
-        record_every=record_every,
         seed=seed,
+        **kwargs,
     )
 
 

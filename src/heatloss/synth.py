@@ -24,7 +24,7 @@ from .errors import NonFiniteLossError, PlacementError, ValidationError
 from .grid import Grid
 from .ground_truth import BoxAnnotation, SceneAnnotation, SigmaParams
 from .ground_truth import render_binary_map, render_heatmap, render_mask
-from .losses import GroundTruthBundle, LossConfig, LossStep, LossVariant
+from .losses import _BINARY_GT_VARIANTS, _MASK_VARIANTS, GroundTruthBundle, LossConfig, LossStep, LossVariant
 # perfbench/tracing.py wraps ``heatloss.synth.loss_with_grad`` by name
 from .losses import loss_with_grad  # noqa: F401
 
@@ -122,10 +122,6 @@ class _UniformStream:
     def __init__(self, seed: int, stream: int) -> None:
         self._bits = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
 
-    def next(self) -> float:
-        raw = int(self._bits.random_raw(1)[0])
-        return (raw >> 11) * 2.0**-53
-
     def block(self, n: int) -> np.ndarray:
         raw = self._bits.random_raw(n)
         return (raw >> np.uint64(11)) * 2.0**-53
@@ -144,7 +140,7 @@ def generate_scene(params: SynthParams) -> SceneAnnotation:
     for head in range(params.n_heads):
         stream = _UniformStream(params.seed, head)
         for _ in range(_PLACEMENT_ATTEMPTS):
-            u_x, u_y, u_w, u_h = (stream.next() for _ in range(4))
+            u_x, u_y, u_w, u_h = stream.block(4).tolist()
             cx = float(int(u_x * params.width))
             cy = float(int(u_y * params.height))
             lo, hi = params.size_range
@@ -175,12 +171,12 @@ def supervision_bundle(
     mask-support precondition asks for (inside a very elongated box the
     kernel can underflow to 0); keypoint variants get the untruncated heatmap.
     """
-    if variant in (LossVariant.FOCAL_SCALAR, LossVariant.ALPHA_FOCAL):
+    if variant in _BINARY_GT_VARIANTS:
         binary = render_binary_map(scene, stride)
         return GroundTruthBundle(binary, binary, len(scene.boxes))
     mask = render_mask(scene, stride)
     heat = render_heatmap(scene, sigma, stride)
-    if variant in (LossVariant.MASK_FOCAL, LossVariant.MASK_FOCAL_POLY1):
+    if variant in _MASK_VARIANTS:
         heat = Grid(heat.values * mask.values)
         mask = Grid((heat.values > 0.0).astype(np.float64))
     return GroundTruthBundle(heat, mask, len(scene.boxes))

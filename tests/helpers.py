@@ -9,10 +9,7 @@ import numpy as np
 from heatloss import (
     FitConfig,
     Grid,
-    GroundTruthBundle,
     InitMode,
-    LossConfig,
-    LossVariant,
     NonFiniteLossError,
     SceneAnnotation,
     SigmaParams,
@@ -20,6 +17,7 @@ from heatloss import (
     loss_with_grad,
     supervision_bundle,
 )
+from heatloss.cli import random_instance  # noqa: F401  (re-exported for the tests)
 from heatloss.synth import expit
 
 
@@ -63,40 +61,6 @@ def brute_force_peaks(values: np.ndarray, window: int, threshold: float) -> list
         visited |= region
         kept.append(min(region_candidates))
     return sorted(kept)
-
-
-def random_instance(
-    variant: LossVariant, rng: np.random.Generator, size: int | tuple[int, int] = 8
-) -> tuple[Grid, GroundTruthBundle, LossConfig]:
-    """A random prediction/ground-truth/config triple valid for ``variant``.
-
-    ``size`` is the side of a square grid or a ``(height, width)`` shape.
-    Predictions stay inside [0.05, 0.95] and at least 1e-3 away from the
-    prediction-error kink so finite differences are well posed.
-    """
-    cfg = LossConfig(
-        variant=variant,
-        alpha=float(rng.choice([0.25, 0.5, 1.0])),
-        beta=float(rng.choice([0.0, 0.5, 1.0, 2.0, 4.0])),
-        gamma=float(rng.choice([0.0, 0.5, 1.0, 2.0, 4.0])),
-        eps1=float(rng.choice([0.0, 0.5, 1.0])),
-    )
-    shape = (size, size) if isinstance(size, int) else tuple(size)
-    if variant in (LossVariant.FOCAL_SCALAR, LossVariant.ALPHA_FOCAL):
-        heat = rng.integers(0, 2, size=shape).astype(np.float64)
-        mask = heat
-    elif variant in (LossVariant.MASK_FOCAL, LossVariant.MASK_FOCAL_POLY1):
-        mask = (rng.random(shape) < 0.5).astype(np.float64)
-        heat = np.where(mask == 1.0, rng.uniform(0.05, 1.0, shape), 0.0)
-        heat = np.where((rng.random(shape) < 0.1) & (mask == 1.0), 1.0, heat)
-    else:
-        heat = rng.uniform(0.0, 1.0, shape)
-        heat = np.where(rng.random(shape) < 0.1, 1.0, heat)
-        mask = (heat > 0.0).astype(np.float64)
-    pred = rng.uniform(0.05, 0.95, shape)
-    pred = np.where(np.abs(pred - heat) < 1e-3, pred + 2e-3, pred)
-    bundle = GroundTruthBundle(Grid(heat), Grid(mask), int(rng.integers(1, 6)))
-    return Grid(pred), bundle, cfg
 
 
 def reference_fit(

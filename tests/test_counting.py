@@ -162,6 +162,27 @@ def test_plateau_labelling_equals_brute_force(values, window, threshold):
     assert count_image(Grid(values), window, threshold) == len(got)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    levels=st.sampled_from([4, 16, 256]),
+    window=st.integers(4, 16).map(lambda k: 2 * k + 1) | st.sampled_from([63, 65, 1023, 10**6 + 1]),
+    threshold=st.sampled_from([0.2, 0.5, 0.8]),
+)
+def test_large_windows_equal_brute_force(seed, levels, window, threshold):
+    """Quantized grids of 1 to 40 a side at windows 9 to 33, and at windows wider than the grid.
+
+    The window max ends on a fold at offset ``window - s`` for the largest
+    power of two ``s <= window``; windows 9 to 33 take every such offset
+    from 1 to ``s - 1``.  On the finer grids most candidates sit below the
+    grid's max, so each edge of the window decides some of them.
+    """
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, levels + 1, rng.integers(1, 41, 2)) / levels
+    got = extract_peaks(Grid(values), window, threshold)
+    assert [(p.y, p.x) for p in got.peaks] == brute_force_peaks(values, window, threshold)
+
+
 class TestPlateauShapes:
     """Plateaus whose runs join only through long paths, diagonals, or not at all."""
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +20,14 @@ from heatloss import (
     SceneAnnotation,
     SchemaError,
     SigmaParams,
+    loss_with_grad,
     read_grid,
     read_grid_csv,
     render_heatmap,
     write_grid,
     write_grid_csv,
 )
-from heatloss.cli import main
+from heatloss.cli import _EXIT_CODES, main
 from heatloss.serialization import dump_scene, load_scene
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
@@ -117,6 +119,11 @@ class TestMalformedGridFiles:
         ("truncated.grid", b"GRID 2 2\n" + bytes(15), "expected 16 payload bytes, found 15"),
         ("long.grid", b"GRID 2 2\n" + bytes(17), "expected 16 payload bytes, found 17"),
         ("no-newline.grid", b"GRID 1 1", "missing 'GRID <w> <h>' header"),
+        # int() reads these sizes, but write_grid writes none of them
+        ("underscore-sign.grid", b"GRID 1_0 +1\n" + bytes(40), "non-canonical grid header"),
+        ("plus-sign.grid", b"GRID +1 1\n" + bytes(4), "non-canonical grid header"),
+        ("leading-zero.grid", b"GRID 010 1\n" + bytes(40), "non-canonical grid header"),
+        ("double-space.grid", b"GRID 1  1\n" + bytes(4), "non-canonical grid header"),
         ("ragged.csv", b"0.1,0.2\n0.3\n", "malformed grid CSV"),
         ("empty-field.csv", b"0.1,,0.2\n", "malformed grid CSV"),
         ("empty-row-fields.csv", b"0.1,0.2\n,\n", "malformed grid CSV"),
@@ -129,6 +136,71 @@ class TestMalformedGridFiles:
         payload = error_payload(err)
         assert payload["error"] == "SCHEMA_ERROR" and needle in payload["message"]
         assert not (tmp_path / "p.json").exists()
+
+
+# The documented exit status of each error code (README, Command-line interface).
+EXIT_STATUS = {
+    "SCHEMA_ERROR": 2,
+    "DIM_MISMATCH": 3,
+    "VALIDATION_ERROR": 4,
+    "INFEASIBLE_PLACEMENT": 5,
+    "NON_FINITE_LOSS": 6,
+    "GRAD_CHECK_FAILED": 7,
+    "IO_ERROR": 8,
+}
+
+
+class TestExitCodes:
+    """One failing invocation per error code; stderr holds exactly the error object."""
+
+    def test_every_error_code_has_a_case(self):
+        assert set(_EXIT_CODES) == set(EXIT_STATUS)
+
+    @staticmethod
+    def failing_argv(code, tmp_path, monkeypatch):
+        scene, loss = tmp_path / "scene.json", tmp_path / "loss.json"
+        write_scene(scene, width=8, height=8, boxes=((4.0, 4.0, 3.0, 3.0),))
+        loss.write_text(json.dumps({"variant": "FOCAL_SCALAR"}))
+        if code == "SCHEMA_ERROR":
+            loss.write_text(json.dumps({"gamma": 2.0}))
+            return ["fit", "--annotation", str(scene), "--loss-config", str(loss),
+                    "--steps", "1", "--learning-rate", "0.5", "--seed", "1"]
+        if code == "DIM_MISMATCH":
+            heat, pred = tmp_path / "heat.grid", tmp_path / "pred.grid"
+            write_grid(Grid(np.zeros((1, 2))), heat)
+            write_grid(Grid(np.full((2, 2), 0.5)), pred)
+            return ["eval-loss", "--pred", str(pred), "--heatmap", str(heat), "--n-objects", "1",
+                    "--loss-config", str(loss), "--report-out", str(tmp_path / "r.json"),
+                    "--grad-out", str(tmp_path / "g.grid")]
+        if code == "VALIDATION_ERROR":
+            return ["grad-check", "--variant", "MASK_FOCAL", "--size", "0", "--seed", "1"]
+        if code == "INFEASIBLE_PLACEMENT":
+            return ["synth", "--seed", "1", "--width", "8", "--height", "8", "--n-heads", "10",
+                    "--min-gap", "40", "--out", str(tmp_path / "s.json")]
+        if code == "NON_FINITE_LOSS":
+            return ["fit", "--annotation", str(scene), "--loss-config", str(loss),
+                    "--steps", "5", "--learning-rate", "1.7e308", "--seed", "1"]
+        if code == "GRAD_CHECK_FAILED":
+            def doubled_gradient(pred, gt, cfg):
+                result = loss_with_grad(pred, gt, cfg)
+                return replace(result, grad=Grid(2.0 * result.grad.values))
+
+            monkeypatch.setattr("heatloss.cli.loss_with_grad", doubled_gradient)
+            return ["grad-check", "--variant", "MASK_FOCAL", "--size", "4", "--instances", "1", "--seed", "1"]
+        assert code == "IO_ERROR"
+        return ["peaks", "--heatmap", str(tmp_path / "missing.grid"), "--out", str(tmp_path / "p.json")]
+
+    @pytest.mark.parametrize("code", list(EXIT_STATUS))
+    def test_failure_exits_with_its_status_and_error_object(self, tmp_path, capsys, monkeypatch, code):
+        status, out, err = run_cli(capsys, *self.failing_argv(code, tmp_path, monkeypatch))
+        assert status == EXIT_STATUS[code]
+        assert err.count("\n") == 1 and err.endswith("\n")
+        payload = error_payload(err)
+        assert payload["error"] == code and isinstance(payload["message"], str) and payload["message"]
+        if code == "GRAD_CHECK_FAILED":
+            assert json.loads(out)["pass"] is False
+        else:
+            assert out == ""
 
 
 class TestAnnotationJson:

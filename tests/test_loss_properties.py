@@ -109,6 +109,41 @@ def test_gradient_matches_central_differences_inside_the_clamp(variant, shape, s
 
 
 @PROPERTY
+@given(variants, shapes, seeds)
+def test_gradient_matches_central_differences_near_the_clamp_edges(variant, shape, seed):
+    """About a third of the pixels 1e-3 inside a 1e-2 clamp, so both points at step 1e-6 stay inside.
+
+    The third derivative there, about 2 / q^3 for ln q, keeps the truncation
+    error near 2.5e-7; a moved pixel also keeps 1e-3 from the |p - q| kink.
+    """
+    rng = np.random.default_rng(seed)
+    pred, gt, cfg = random_instance(variant, rng, shape)
+    clamp = 1e-2
+    near = rng.choice([clamp + 1e-3, 1.0 - clamp - 1e-3], size=shape)
+    moved = (rng.random(shape) < 1 / 3) & (np.abs(near - gt.heatmap.values) >= 1e-3)
+    pred, cfg = np.where(moved, near, pred.values), replace(cfg, clamp=clamp)
+    step, n = 1e-6, pred.size
+    grad = loss_with_grad(Grid(pred), gt, cfg).grad.values.ravel()
+    eye = np.eye(n).reshape((n,) + shape)
+    values = batched_loss_values(np.concatenate([pred + step * eye, pred - step * eye]), gt, cfg)
+    fd = (values[:n] - values[n:]) / (2.0 * step)
+    assert np.all(np.abs(grad - fd) <= 1e-6 * (1.0 + np.abs(grad)))
+
+
+@PROPERTY
+@given(st.sampled_from([LossVariant.MASK_FOCAL, LossVariant.MASK_FOCAL_POLY1]), shapes, seeds, clamps)
+def test_subgradient_is_zero_at_the_prediction_error_kink(variant, shape, seed, clamp):
+    """``pred == heat`` on random clamp-interior pixels: the subgradient there is 0, finite elsewhere."""
+    rng = np.random.default_rng(seed)
+    pred, gt, cfg = random_instance(variant, rng, shape)
+    heat = gt.heatmap.values
+    kink = (heat > clamp) & (heat < 1.0 - clamp) & (rng.random(shape) < 0.5)
+    grad = loss_with_grad(Grid(np.where(kink, heat, pred.values)), gt, replace(cfg, clamp=clamp)).grad.values
+    assert np.all(grad[kink] == 0.0)
+    assert np.all(np.isfinite(grad))
+
+
+@PROPERTY
 @given(variants, shapes, seeds, clamps)
 def test_gradient_is_zero_at_the_clamp_and_the_unit_edges(variant, shape, seed, clamp):
     rng = np.random.default_rng(seed)
