@@ -26,7 +26,7 @@ from .grid import Grid, read_grid, read_grid_csv, write_grid, write_grid_csv
 from .ground_truth import SigmaParams, interpolate_boxes, render_heatmap, render_mask
 from .ground_truth import SceneAnnotation
 from .losses import _BINARY_GT_VARIANTS, _MASK_VARIANTS, GroundTruthBundle, LossConfig, LossVariant
-from .losses import batched_loss_values, loss_with_grad
+from .losses import LossStep, _loss_values, loss_with_grad
 from .synth import FitConfig, InitMode, SynthParams, fit_direct, generate_scene, run_desk_experiment
 
 GRAD_CHECK_TOLERANCE = 1e-6
@@ -148,13 +148,14 @@ def max_grad_deviation(variant: LossVariant, size: int, instances: int, seed: in
     for _ in range(instances):
         pred, bundle, cfg = random_instance(variant, rng, size)
         grad = loss_with_grad(pred, bundle, cfg).grad.values.ravel()
+        loss_step = LossStep(bundle, cfg, (2 * _FD_BLOCK, size, size))
         fd = np.empty(n)
         for start in range(0, n, _FD_BLOCK):
             k = min(_FD_BLOCK, n - start)
-            eye = np.eye(k, n, start).reshape(k, size, size)  # one-hot rows start..start+k-1
-            batch = np.concatenate([pred.values + step * eye, pred.values - step * eye])
-            values = batched_loss_values(batch, bundle, cfg)
-            fd[start : start + k] = (values[:k] - values[k:]) / (2.0 * step)
+            # one-hot rows start..start+k-1; the last block's rows past n are zero, unperturbed padding
+            eye = np.eye(_FD_BLOCK, n, start).reshape(_FD_BLOCK, size, size)
+            values = _loss_values(loss_step, np.concatenate([pred.values + step * eye, pred.values - step * eye]))
+            fd[start : start + k] = (values[:k] - values[_FD_BLOCK : _FD_BLOCK + k]) / (2.0 * step)
         deviation = np.abs(grad - fd) / (1.0 + np.abs(grad))
         worst = max(worst, float(deviation.max()))
     return worst

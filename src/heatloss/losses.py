@@ -38,11 +38,12 @@ forms the value as ``scale`` times the pairwise sum of the unscaled terms.
 A value-only evaluation skips the gradient, its scaling and the clamp gate.
 
 Because a pixel's term and gradient depend only on its prediction, heatmap
-value and mask, a step also serves a bundle of pixel *classes*:
-``fit_direct`` prepares one per fit on a ``(1, U)`` bundle holding each
-distinct heatmap value once and sums the class terms gathered back onto the
-grid.  :func:`loss_with_grad` and :func:`batched_loss_values` (value-only,
-one sum per flattened grid) prepare one step per call.
+value and mask, a step also serves a bundle of pixel *classes*: a fit
+prepares one step for all its scenes on a ``(1, U)`` bundle that holds each
+scene's distinct heatmap values one after another, with one scale per class,
+and sums each scene's class terms gathered back onto its grid.
+:func:`loss_with_grad` and :func:`batched_loss_values` (value-only, one sum
+per flattened grid) prepare one step per call.
 """
 
 from __future__ import annotations
@@ -263,6 +264,13 @@ def _graded_branch(
     return term, grad
 
 
+def _loss_scale(cfg: LossConfig, n_objects: int) -> float:
+    """``-alpha / N``, with N = 1 for a bundle without objects; ``FOCAL_SCALAR`` is the plain sum."""
+    if cfg.variant is LossVariant.FOCAL_SCALAR:
+        return -1.0
+    return -cfg.alpha / (n_objects or 1)
+
+
 def _check_bundle(variant: LossVariant, gt: GroundTruthBundle) -> None:
     if variant in _BINARY_GT_VARIANTS and not gt.heatmap.is_binary():
         raise ValidationError(
@@ -285,6 +293,11 @@ class LossStep:
     weight and the scale, and allocates the grid-sized buffers that every
     evaluation writes into.  A fit prepares one step and evaluates it on
     every iteration.  The buffers make a step unsafe to share between threads.
+
+    ``scale`` may be replaced by an array that broadcasts against the
+    prediction: a fit over several scenes gives each class its scene's scale.
+    The gradient is multiplied by it elementwise, so every pixel gets the bits
+    its own scalar scale gives it.
     """
 
     def __init__(self, gt: GroundTruthBundle, cfg: LossConfig, shape: tuple[int, ...]) -> None:
@@ -305,11 +318,8 @@ class LossStep:
         self._neg_weight = (
             np.power(1.0 - heat, cfg.beta) if variant in _WEIGHTED_NEG_VARIANTS else None
         )
-        self.degenerate = gt.n_objects == 0
-        if variant is LossVariant.FOCAL_SCALAR:
-            self.scale, self.degenerate = -1.0, False
-        else:
-            self.scale = -cfg.alpha / (1 if self.degenerate else gt.n_objects)
+        self.scale = _loss_scale(cfg, gt.n_objects)
+        self.degenerate = gt.n_objects == 0 and variant is not LossVariant.FOCAL_SCALAR
         self._rows = (-1, heat.size)
         self._q, self._pg, self._scratch, self._term, self._grad = (np.empty(shape) for _ in range(5))
         self._inside, self._below = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
@@ -377,9 +387,13 @@ def batched_loss_values(preds: np.ndarray, gt: GroundTruthBundle, cfg: LossConfi
     bit; used for parameter sweeps and finite-difference verification.
     """
     preds = np.asarray(preds, dtype=np.float64)
-    step = LossStep(gt, cfg, preds.shape)
+    return _loss_values(LossStep(gt, cfg, preds.shape), preds)
+
+
+def _loss_values(step: LossStep, preds: np.ndarray) -> np.ndarray:
+    """The loss value of each ``(H, W)`` slice of ``preds``, which has ``step``'s shape."""
     term = step.terms(preds, with_grad=False)[0]
     with np.errstate(over="ignore"):  # an overflowing sum or product yields inf
         # one pairwise sum per flattened grid, the sum loss_with_grad takes
-        totals = term.reshape(preds.shape[:-2] + (gt.heatmap.values.size,)).sum(axis=-1)
+        totals = term.reshape(preds.shape[:-2] + (preds.shape[-2] * preds.shape[-1],)).sum(axis=-1)
         return step.scale * totals

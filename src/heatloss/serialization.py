@@ -26,15 +26,18 @@ def _load_json(path: str | Path) -> Any:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _require(obj: dict, key: str, kind: type | tuple[type, ...], where: str) -> Any:
+def _is_kind(value: Any, kind: type) -> bool:
+    """Whether a JSON value is of ``kind``: ``float`` takes any number, and a bool is never a number."""
+    return isinstance(value, (int, float) if kind is float else kind) and not isinstance(value, bool)
+
+
+def _require(obj: dict, key: str, kind: type, where: str) -> Any:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected a JSON object, got {type(obj).__name__}")
     if key not in obj:
         raise SchemaError(f"{where}: missing required key {key!r}")
     value = obj[key]
-    if kind is float:
-        kind = (int, float)
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if not _is_kind(value, kind):
         raise SchemaError(f"{where}: key {key!r} has wrong type {type(value).__name__}")
     return value
 
@@ -87,11 +90,7 @@ def load_points(path: str | Path) -> list[tuple[float, float]]:
     raw = _require(obj, "points", list, str(path))
     points = []
     for i, entry in enumerate(raw):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
-        ):
+        if not (isinstance(entry, list) and len(entry) == 2 and all(_is_kind(v, float) for v in entry)):
             raise SchemaError(f"{path}.points[{i}]: expected [x, y] numbers")
         points.append((float(entry[0]), float(entry[1])))
     return points

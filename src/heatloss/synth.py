@@ -20,11 +20,12 @@ from enum import Enum
 import numpy as np
 
 from .counting import count_image, compute_metrics, CountReport
-from .errors import NonFiniteLossError, PlacementError, ValidationError
+from .errors import HeatlossError, NonFiniteLossError, PlacementError, ValidationError
 from .grid import Grid
 from .ground_truth import BoxAnnotation, SceneAnnotation, SigmaParams
 from .ground_truth import render_binary_map, render_heatmap, render_mask
 from .losses import _BINARY_GT_VARIANTS, _MASK_VARIANTS, GroundTruthBundle, LossConfig, LossStep, LossVariant
+from .losses import _loss_scale
 # perfbench/tracing.py wraps ``heatloss.synth.loss_with_grad`` by name
 from .losses import loss_with_grad  # noqa: F401
 
@@ -46,6 +47,12 @@ def _expit_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.divide(1.0, out, out=out)
 
 
+def _check_seed(seed: int) -> None:
+    """A Philox key word: an unsigned 64-bit integer."""
+    if not (0 <= seed < 2**64):
+        raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed}")
+
+
 class InitMode(Enum):
     UNIFORM_HALF = "UNIFORM_HALF"
     ZEROS_LOGIT = "ZEROS_LOGIT"
@@ -64,8 +71,7 @@ class SynthParams:
     min_center_gap: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (0 <= self.seed < 2**64):
-            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        _check_seed(self.seed)
         if self.width < 1 or self.height < 1:
             raise ValidationError(f"scene dimensions must be >= 1, got {self.width}x{self.height}")
         if self.n_heads < 0:
@@ -102,8 +108,8 @@ class FitConfig:
             raise ValidationError(f"record_every must be >= 1, got {self.record_every}")
         if self.init is InitMode.SEEDED_NOISE and self.seed is None:
             raise ValidationError("SEEDED_NOISE initialization requires a seed")
-        if self.seed is not None and not (0 <= self.seed < 2**64):
-            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        if self.seed is not None:
+            _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -182,16 +188,138 @@ def supervision_bundle(
     return GroundTruthBundle(heat, mask, len(scene.boxes))
 
 
-def _pixel_classes(bundle: GroundTruthBundle) -> tuple[GroundTruthBundle, np.ndarray]:
-    """The distinct heatmap values as a ``(1, U)`` bundle, and each pixel's class.
+def _class_vector(
+    scene: SceneAnnotation, sigma: SigmaParams, cfg: FitConfig
+) -> tuple[np.ndarray, np.ndarray | slice, np.ndarray]:
+    """One scene's classes: the heatmap value of each, each pixel's class, the initial logits.
 
-    The key is the heatmap value alone, and each class's mask is its value's
-    support: ``supervision_bundle`` makes the mask ``heatmap > 0`` for the
-    mask variants, and no other variant reads the mask.
+    Under ``SEEDED_NOISE`` every pixel is its own class, and the identity
+    view stands for the classes, so nothing is sorted or gathered; otherwise
+    a class is a distinct heatmap value.
     """
-    values, classes = np.unique(bundle.heatmap.values.ravel(), return_inverse=True)
-    mask = (values > 0.0).astype(np.float64)
-    return GroundTruthBundle(Grid(values[None]), Grid(mask[None]), bundle.n_objects), classes
+    heat = supervision_bundle(scene, sigma, cfg.loss.variant).heatmap.values.ravel()
+    if cfg.init is InitMode.SEEDED_NOISE:
+        return heat, np.s_[:], 2.0 * _UniformStream(cfg.seed, _NOISE_STREAM).block(heat.size) - 1.0
+    # UNIFORM_HALF and ZEROS_LOGIT coincide: sigmoid(0) == 0.5 exactly
+    values, classes = np.unique(heat, return_inverse=True)
+    return values, classes, np.zeros(values.size)
+
+
+def _fit_batch(scenes: list[SceneAnnotation], sigma: SigmaParams, cfg: FitConfig) -> list[FitTrace]:
+    """Fit every scene under ``cfg`` in one loop: one :func:`fit_direct` per scene, in order.
+
+    Every variant is a sum of per-pixel terms times one scale, and the
+    sigmoid, the clamp gate and the update act on each pixel alone, so pixels
+    with equal heatmap value and equal initial logit follow bit-identical
+    trajectories.  Under a constant initialization a scene therefore fits one
+    logit per distinct heatmap value (a pixel class); under ``SEEDED_NOISE``
+    every pixel is its own class.  The scenes' class vectors lie one after
+    another (a segment each) in one ``(1, U)`` bundle with one prepared loss,
+    whose gradient is multiplied by each class's own scene scale.  A
+    recorded loss is the scene's scale times the pairwise sum of its class
+    terms gathered back onto its grid, the very sum a whole-grid step takes.
+    An unrecorded step gathers only the segments for which a bound cannot
+    prove that sum finite, so a non-finite loss is reported at the same step.
+    The logits are scattered back to each grid once, at the end.
+
+    A scene fails where its own fit would: in preparation, or at a step whose
+    gradient, loss or logit update is not finite.  One fit per scene raises
+    the failure of the first failing scene, so a failure freezes its segment
+    and every later one, which can no longer change the outcome, and the
+    loop ends once no earlier scene is left to fit.
+    """
+    # `error` is the first failing scene's; a new one is always an earlier scene's
+    segments, error = [], None
+    for scene in scenes:
+        try:
+            segments.append(_class_vector(scene, sigma, cfg))
+        except HeatlossError as exc:  # what this scene's fit raises, unless an earlier scene fails
+            error = exc
+            break
+    if not segments:
+        raise error
+    live = len(segments)  # segments [0, live) still fit; the later ones are frozen
+    starts = np.cumsum([0] + [heat.size for heat, _, _ in segments])  # segment j: starts[j]:starts[j + 1]
+    heat = np.concatenate([heat for heat, _, _ in segments])[None]
+    # A class's mask is its value's support: supervision_bundle makes the mask
+    # heatmap > 0 for the mask variants, and no other variant reads the mask.
+    # The object count is unused: each class takes its own scene's scale.
+    gt = GroundTruthBundle(Grid(heat), Grid((heat > 0.0).astype(np.float64)), 0)
+    loss_step = LossStep(gt, cfg.loss, heat.shape)
+    scales = [_loss_scale(cfg.loss, len(scene.boxes)) for scene in scenes[:live]]
+    loss_step.scale = np.repeat(scales, np.diff(starts))
+    # The grid sum of n_px terms of magnitude at most `peak` is at most about
+    # peak * n_px.  So `peak * bound < 1e300`, with |scale| taken as at least 1,
+    # proves both that sum and the scaled loss finite without gathering.
+    bounds = np.array([s.width * s.height * max(1.0, abs(c)) for s, c in zip(scenes, scales)])
+    widest = float(bounds.max())
+    theta = np.concatenate([logits for _, _, logits in segments])[None]
+    pred, one_minus = np.empty_like(theta), np.empty_like(theta)
+    losses: list[list[tuple[int, float]]] = [[] for _ in segments]
+    overflowed: list[str] = []  # what numpy signalled during the last update
+
+    def on_overflow(kind: str, flag: int) -> None:
+        overflowed.append(kind)
+
+    for step in range(1, cfg.steps + 1):
+        term, grad = loss_step.terms(_expit_into(theta, pred))
+        g = grad[0, : starts[live]]
+        if not (math.isfinite(g.min()) and math.isfinite(g.max())):
+            lo, hi = np.minimum.reduceat(g, starts[:live]), np.maximum.reduceat(g, starts[:live])
+            live = int(np.argmin(np.isfinite(lo) & np.isfinite(hi)))
+            error = ValidationError(f"loss gradient became non-finite at step {step}")
+            if not live:
+                break
+        recorded = (step - 1) % cfg.record_every == 0
+        t = term[0, : starts[live]]
+        if recorded:
+            check = range(live)
+        elif max(float(t.max()), -float(t.min())) * widest < 1e300:
+            check = ()
+        else:
+            lo, hi = np.minimum.reduceat(t, starts[:live]), np.maximum.reduceat(t, starts[:live])
+            with np.errstate(over="ignore"):
+                check = np.flatnonzero(~(np.maximum(hi, -lo) * bounds[:live] < 1e300))
+        for j in check:
+            classes = segments[j][1]
+            with np.errstate(over="ignore"):  # an overflowing sum yields inf
+                value = scales[j] * float(term[0, starts[j] : starts[j + 1]][classes].sum())
+            if not math.isfinite(value):
+                live, error = j, NonFiniteLossError(
+                    f"loss became non-finite at step {step}; the learning rate "
+                    f"{cfg.learning_rate} is likely too large"
+                )
+                break
+            if recorded:
+                losses[j].append((step, value))
+        if not live:
+            break
+        grad[0, starts[live] :] = 0.0  # frozen segments keep their logits
+        # theta -= lr * grad * pred * (1 - pred), in that order, in grad's buffer.  An
+        # overflow or invalid operation leaves that pixel's logit non-finite.
+        with np.errstate(over="call", invalid="call", call=on_overflow):
+            np.multiply(cfg.learning_rate, grad, out=grad)
+            np.multiply(grad, pred, out=grad)
+            np.multiply(grad, np.subtract(1.0, pred, out=one_minus), out=grad)
+            np.subtract(theta, grad, out=theta)
+        if overflowed:
+            overflowed.clear()
+            finite = np.logical_and.reduceat(np.isfinite(theta[0, : starts[live]]), starts[:live])
+            live, error = int(np.argmin(finite)), NonFiniteLossError(
+                f"the logit update overflowed at step {step}; the learning rate "
+                f"{cfg.learning_rate} is too large"
+            )
+            theta[0, starts[live] :] = 0.0  # any finite logit: the prediction stays in range
+            if not live:
+                break
+    if error is not None:
+        raise error
+    traces = []
+    for j, (scene, (_, classes, _)) in enumerate(zip(scenes, segments)):
+        logits = theta[0, starts[j] : starts[j + 1]][classes]
+        final_pred = Grid(expit(logits.reshape(scene.height, scene.width)))
+        traces.append(FitTrace(tuple(losses[j]), final_pred, count_image(final_pred), len(scene.boxes)))
+    return traces
 
 
 def fit_direct(scene: SceneAnnotation, sigma: SigmaParams, cfg: FitConfig) -> FitTrace:
@@ -200,73 +328,15 @@ def fit_direct(scene: SceneAnnotation, sigma: SigmaParams, cfg: FitConfig) -> Fi
     The prediction is ``sigmoid(theta)``; each step applies
     ``theta -= lr * dL/dpred * pred * (1 - pred)``.  The loss is recorded at
     step 1 and every ``record_every`` steps thereafter, before the update, so
-    the first entry is the initialization loss.
+    the first entry is the initialization loss.  A non-finite gradient
+    raises :class:`ValidationError`; a non-finite loss or logit update raises
+    :class:`NonFiniteLossError`, naming the step.
 
-    Every variant is a sum of per-pixel terms times one scale, and the
-    sigmoid, the clamp gate and the update act on each pixel alone, so pixels
-    with equal heatmap value and equal initial logit follow bit-identical
-    trajectories.  Under a constant initialization the fit therefore runs one
-    logit per distinct heatmap value (a pixel class) and scatters the logits
-    back to the grid once, at the end; under ``SEEDED_NOISE`` every pixel is
-    its own class.  A recorded loss is the scale times the pairwise sum of
-    the class terms gathered back onto the grid, the very sum a whole-grid
-    step takes.  An unrecorded step gathers only when a bound cannot prove
-    that sum finite, so a non-finite loss is reported at the same step.  The
-    loss is prepared once per fit; the sigmoid, the loss and the update write
-    into buffers the fit owns.
+    The fit is the one-scene case of the loop :func:`run_desk_experiment`
+    runs over all its scenes: it fits one logit per pixel class, with one
+    prepared loss, and scatters the logits back to the grid once.
     """
-    bundle = supervision_bundle(scene, sigma, cfg.loss.variant)
-    shape = bundle.heatmap.shape
-    if cfg.init is InitMode.SEEDED_NOISE:
-        # every pixel is its own class; the identity view neither sorts nor gathers
-        classes = np.s_[:]
-        noise = _UniformStream(cfg.seed, _NOISE_STREAM).block(shape[0] * shape[1])
-        theta = 2.0 * noise.reshape(shape) - 1.0
-    else:
-        # UNIFORM_HALF and ZEROS_LOGIT coincide: sigmoid(0) == 0.5 exactly
-        bundle, classes = _pixel_classes(bundle)
-        theta = np.zeros(bundle.heatmap.shape)
-    loss_step = LossStep(bundle, cfg.loss, bundle.heatmap.shape)
-    scale = loss_step.scale
-    # The grid sum of n_px terms of magnitude at most `peak` is at most about
-    # peak * n_px.  So `peak * bound < 1e300`, with |scale| taken as at least 1,
-    # proves both that sum and the scaled loss finite without gathering.
-    bound = shape[0] * shape[1] * max(1.0, abs(scale))
-    pred, one_minus = np.empty_like(theta), np.empty_like(theta)
-    losses: list[tuple[int, float]] = []
-    for step in range(1, cfg.steps + 1):
-        term, grad = loss_step.terms(_expit_into(theta, pred))
-        if not (math.isfinite(grad.min()) and math.isfinite(grad.max())):
-            raise ValidationError(f"loss gradient became non-finite at step {step}")
-        recorded = (step - 1) % cfg.record_every == 0
-        if recorded or not (max(float(term.max()), -float(term.min())) * bound < 1e300):
-            value = scale * float(term.ravel()[classes].sum())
-            if not math.isfinite(value):
-                raise NonFiniteLossError(
-                    f"loss became non-finite at step {step}; the learning rate "
-                    f"{cfg.learning_rate} is likely too large"
-                )
-            if recorded:
-                losses.append((step, value))
-        # theta -= lr * grad * pred * (1 - pred), in that order, in grad's buffer
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                np.multiply(cfg.learning_rate, grad, out=grad)
-                np.multiply(grad, pred, out=grad)
-                np.multiply(grad, np.subtract(1.0, pred, out=one_minus), out=grad)
-                np.subtract(theta, grad, out=theta)
-        except FloatingPointError:
-            raise NonFiniteLossError(
-                f"the logit update overflowed at step {step}; the learning rate "
-                f"{cfg.learning_rate} is too large"
-            ) from None
-    final_pred = Grid(expit(theta.ravel()[classes].reshape(shape)))
-    return FitTrace(
-        losses=tuple(losses),
-        final_pred=final_pred,
-        final_count=count_image(final_pred),
-        gt_count=len(scene.boxes),
-    )
+    return _fit_batch([scene], sigma, cfg)[0]
 
 
 def run_desk_experiment(
@@ -278,15 +348,15 @@ def run_desk_experiment(
     """Fit every scene under every loss variant and aggregate count metrics.
 
     All variants share the same initialization and seeds, so reports are
-    comparable; results are ordered by the input variant order.
+    comparable; results are ordered by the input variant order.  Each
+    variant fits all the scenes in one loop, whose traces equal one
+    :func:`fit_direct` per scene bit for bit, and which raises what the first
+    failing fit raises.
     """
     if not scenes or not variants:
         raise ValidationError("desk experiment needs at least one scene and one variant")
     results: list[tuple[LossConfig, CountReport]] = []
     for loss_cfg in variants:
-        per_image = []
-        for scene in scenes:
-            trace = fit_direct(scene, sigma, replace(fit, loss=loss_cfg))
-            per_image.append((trace.final_count, trace.gt_count))
-        results.append((loss_cfg, compute_metrics(per_image)))
+        traces = _fit_batch(scenes, sigma, replace(fit, loss=loss_cfg))
+        results.append((loss_cfg, compute_metrics([(t.final_count, t.gt_count) for t in traces])))
     return results

@@ -323,6 +323,21 @@ class TestInterpolateCommand:
         assert [(b.w, b.h) for b in scene.boxes] == [(20.0, 20.0), (15.0, 15.0)]
 
 
+    @pytest.mark.parametrize("entry", [[True, 0.0], [1.0], [1.0, "2"], 3.0])
+    def test_points_must_be_number_pairs(self, tmp_path, capsys, entry):
+        anchors = tmp_path / "anchors.json"
+        anchors.write_text(json.dumps({"anchors": [{"cx": 0.0, "cy": 0.0, "w": 10.0, "h": 10.0}]}))
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps({"points": [[1, 2.5], entry]}))
+        code, out, err = run_cli(
+            capsys, "interpolate", "--anchors", str(anchors), "--points", str(points),
+            "--width", "8", "--height", "8", "--out", str(tmp_path / "scene.json"),
+        )
+        assert code == 2 and out == ""
+        assert error_payload(err) == {"error": "SCHEMA_ERROR", "message": f"{points}.points[1]: expected [x, y] numbers"}
+        assert not (tmp_path / "scene.json").exists()
+
+
 class TestEvalLossCommand:
     def _write_inputs(self, tmp_path, pred_shape=(1, 2)):
         heat = tmp_path / "heat.grid"

@@ -28,7 +28,8 @@ from heatloss import (
 )
 from heatloss.grid import Grid
 from heatloss.losses import LossStep
-from heatloss.synth import expit
+from heatloss.errors import HeatlossError
+from heatloss.synth import _fit_batch, expit
 from helpers import reference_fit
 
 SIGMA = SigmaParams(eta=1.0, eps_sigma=3.0)
@@ -95,6 +96,14 @@ class TestGenerateScene:
             SynthParams(seed=1, width=8, height=8, n_heads=1, size_range=(0.0, 4.0))
         with pytest.raises(ValidationError):
             SynthParams(seed=1, width=8, height=8, n_heads=-1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_range_is_one_rule(self, seed):
+        message = f"^seed must be a 64-bit unsigned integer, got {seed}$"
+        with pytest.raises(ValidationError, match=message):
+            SynthParams(seed=seed, width=8, height=8, n_heads=1)
+        with pytest.raises(ValidationError, match=message):
+            FitConfig(loss=LossConfig(LossVariant.MASK_FOCAL), steps=1, learning_rate=0.5, seed=seed)
 
 
 class TestSupervisionBundle:
@@ -368,6 +377,117 @@ def test_fit_matches_reference_loop_on_random_scenes(
         loss=loss, steps=steps, learning_rate=0.5, init=init, record_every=every, seed=scene_seed
     )
     assert_matches_reference(scene, cfg)
+
+
+def fit_outcome(fit):
+    """What a fit returns, or the type and message of what it raises."""
+    try:
+        return fit()
+    except HeatlossError as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    shapes=st.lists(
+        st.tuples(st.integers(1, 20), st.integers(1, 20), st.integers(0, 4), st.integers(0, 2**32 - 1)),
+        min_size=1,
+        max_size=4,
+    ),
+    loss=st.sampled_from(REFERENCE_LOSSES),
+    init=st.sampled_from(list(InitMode)),
+    every=st.integers(1, 9),
+    steps=st.integers(1, 12),
+)
+def test_batch_equals_batch_of_one(shapes, loss, init, every, steps):
+    """One loop over several scenes gives each scene its own fit, bit for bit."""
+    scenes = [
+        generate_scene(SynthParams(seed=seed, width=width, height=height, n_heads=heads))
+        for height, width, heads, seed in shapes
+    ]
+    cfg = FitConfig(loss=loss, steps=steps, learning_rate=0.5, init=init, record_every=every, seed=7)
+    batch = _fit_batch(scenes, SIGMA, cfg)
+    assert len(batch) == len(scenes)
+    for scene, trace in zip(scenes, batch):
+        alone = fit_direct(scene, SIGMA, cfg)
+        losses, final_pred, final_count = reference_fit(scene, SIGMA, cfg)
+        assert trace.losses == alone.losses == losses
+        assert trace.final_pred.values.tobytes() == alone.final_pred.values.tobytes() == final_pred.values.tobytes()
+        assert trace.final_count == alone.final_count == final_count
+        assert trace.gt_count == len(scene.boxes)
+    (_, report), = run_desk_experiment(scenes, [loss], SIGMA, cfg)
+    assert report.per_image == tuple((t.final_count, t.gt_count) for t in batch)
+
+
+def error_scene(heads, side):
+    return generate_scene(
+        SynthParams(seed=11 + heads, width=side, height=side, n_heads=heads, size_range=(3.0, 6.0))
+    )
+
+
+# (loss, learning rate, sigma, earlier scene and its error, later scene and its error at
+# an earlier step).  The errors are those that one fit per scene raises.
+LATER_SCENE_FAILS_FIRST = {
+    "non_finite_gradient": (
+        LossConfig(LossVariant.POLY1_PIXELWISE, alpha=1e305, beta=0.5, gamma=2.0, eps1=-10.0),
+        1e-304,
+        SIGMA,
+        error_scene(2, 16),
+        (ValidationError, "loss gradient became non-finite at step 6"),
+        error_scene(0, 16),
+        (ValidationError, "loss gradient became non-finite at step 2"),
+    ),
+    "non_finite_loss": (
+        LossConfig(LossVariant.MASK_FOCAL_POLY1, alpha=1e306, beta=0.5, gamma=2.0, eps1=-10.0),
+        1e-308,
+        SIGMA,
+        error_scene(2, 16),
+        (NonFiniteLossError, "loss became non-finite at step 31; the learning rate 1e-308 is likely too large"),
+        error_scene(0, 16),
+        (NonFiniteLossError, "loss became non-finite at step 1; the learning rate 1e-308 is likely too large"),
+    ),
+    "update_overflow": (
+        LossConfig(LossVariant.POLY1_PIXELWISE, alpha=1e305, beta=0.5, gamma=0.0, eps1=-10.0),
+        300.0,
+        SIGMA,
+        error_scene(2, 8),
+        (ValidationError, "loss gradient became non-finite at step 2"),
+        SceneAnnotation(2, 2, ()),
+        (NonFiniteLossError, "the logit update overflowed at step 1; the learning rate 300.0 is too large"),
+    ),
+    # a kernel width that underflows to 0 makes the heatmap 0 / 0 at an integer centre
+    "preparation": (
+        LossConfig(LossVariant.POLY1_PIXELWISE, alpha=1e305, beta=0.5, gamma=2.0, eps1=-10.0),
+        1e-304,
+        SigmaParams(eta=1.0, eps_sigma=1e308),
+        error_scene(0, 16),
+        (ValidationError, "loss gradient became non-finite at step 2"),
+        SceneAnnotation(4, 4, (BoxAnnotation(1.0, 2.0, 2.0, 2.0),)),
+        (ValidationError, "grid values must be finite"),
+    ),
+}
+
+
+@pytest.mark.parametrize("every", [1, 4])
+@pytest.mark.parametrize("case", list(LATER_SCENE_FAILS_FIRST))
+def test_batch_raises_the_first_failing_scenes_error(case, every):
+    """The error is the earliest scene's, even where a later scene fails at an earlier step."""
+    loss, lr, sigma, first, first_error, later, later_error = LATER_SCENE_FAILS_FIRST[case]
+    cfg = FitConfig(loss=loss, steps=40, learning_rate=lr, record_every=every)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the degenerate kernel's 0 / 0
+        assert fit_outcome(lambda: fit_direct(first, sigma, cfg)) == first_error
+        assert fit_outcome(lambda: fit_direct(later, sigma, cfg)) == later_error
+        for scenes, error in (
+            ([first, later], first_error),
+            ([later, first], later_error),
+            ([first, first, later], first_error),
+            ([first, later, later], first_error),
+        ):
+            assert fit_outcome(lambda: _fit_batch(scenes, sigma, cfg)) == error
+            assert fit_outcome(lambda: run_desk_experiment(scenes, [loss], sigma, cfg)) == error
+        # the first variant fits; the second raises
+        variants = [LossConfig(LossVariant.MASK_FOCAL), loss]
+        assert fit_outcome(lambda: run_desk_experiment([first], variants, sigma, cfg)) == first_error
 
 
 class TestDeskExperiment:
