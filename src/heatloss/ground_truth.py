@@ -160,26 +160,32 @@ def render_heatmap(scene: SceneAnnotation, params: SigmaParams, stride: int = 1)
     cys = np.array([box.cy / stride for box in scene.boxes])
     sigmas = [sigma_from_sensing_factor(2.0 * min(box.w, box.h) / stride + 1.0, params) for box in scene.boxes]
     scales = np.array([2.0 * sigma * sigma for sigma in sigmas])
+    if 0.0 in scales:  # every exponent would be 0 / 0 or x / 0
+        b = int(np.argmin(scales))
+        raise ValidationError(
+            f"the kernel width of box {b} underflows: sigma = {sigmas[b]} (eta = {params.eta}, "
+            f"eps_sigma = {params.eps_sigma}) gives 2 sigma^2 = 0"
+        )
     near_x, far_x = _axis_bounds(cxs, out_w)
     near_y, far_y = _axis_bounds(cys, out_h)
     rows = np.empty((len(near_y), len(cxs)), dtype=bool)  # (tile row, box): kept in the row
     cols = np.zeros((len(near_x), len(cxs)), dtype=bool)  # (tile column, box): kept in the column
-    for ty in range(len(near_y)):
-        least_upper = ((far_x + far_y[ty]) / scales).min(axis=1, initial=np.inf)
-        # "not greater" keeps a NaN bound, so a NaN exponent still reaches the output
-        keep = ~((near_x + near_y[ty]) / scales > least_upper[:, None])
-        rows[ty] = keep.any(axis=0)
-        cols |= keep
-    y_first, y_last = rows.argmax(axis=0), len(rows) - rows[::-1].argmax(axis=0)
-    x_first, x_last = cols.argmax(axis=0), len(cols) - cols[::-1].argmax(axis=0)
-    least = np.full((out_h, out_w), np.inf)
-    for b in np.flatnonzero(rows.any(axis=0)):
-        y0, y1 = y_first[b] * TILE, y_last[b] * TILE
-        x0, x1 = x_first[b] * TILE, x_last[b] * TILE
-        dx = xs[:, x0:x1] - cxs[b]
-        dy = ys[y0:y1] - cys[b]
-        rect = least[y0:y1, x0:x1]
-        np.minimum(rect, (dx * dx + dy * dy) / scales[b], out=rect)
+    with np.errstate(over="ignore"):  # a tiny kernel width gives far pixels an inf exponent: 0
+        for ty in range(len(near_y)):
+            least_upper = ((far_x + far_y[ty]) / scales).min(axis=1, initial=np.inf)
+            keep = (near_x + near_y[ty]) / scales <= least_upper[:, None]
+            rows[ty] = keep.any(axis=0)
+            cols |= keep
+        y_first, y_last = rows.argmax(axis=0), len(rows) - rows[::-1].argmax(axis=0)
+        x_first, x_last = cols.argmax(axis=0), len(cols) - cols[::-1].argmax(axis=0)
+        least = np.full((out_h, out_w), np.inf)
+        for b in np.flatnonzero(rows.any(axis=0)):
+            y0, y1 = y_first[b] * TILE, y_last[b] * TILE
+            x0, x1 = x_first[b] * TILE, x_last[b] * TILE
+            dx = xs[:, x0:x1] - cxs[b]
+            dy = ys[y0:y1] - cys[b]
+            rect = least[y0:y1, x0:x1]
+            np.minimum(rect, (dx * dx + dy * dy) / scales[b], out=rect)
     return Grid(np.exp(-least))  # exp is monotone: exp(-least) is the max of the kernels
 
 

@@ -218,27 +218,31 @@ def _fit_batch(scenes: list[SceneAnnotation], sigma: SigmaParams, cfg: FitConfig
     whose gradient is multiplied by each class's own scene scale.  A
     recorded loss is the scene's scale times the pairwise sum of its class
     terms gathered back onto its grid, the very sum a whole-grid step takes.
-    An unrecorded step gathers only the segments for which a bound cannot
-    prove that sum finite, so a non-finite loss is reported at the same step.
+    An unrecorded step gathers the segments only when a bound cannot prove
+    every sum finite, so a non-finite loss is reported at the same step.
     The logits are scattered back to each grid once, at the end.
 
     A scene fails where its own fit would: in preparation, or at a step whose
-    gradient, loss or logit update is not finite.  One fit per scene raises
-    the failure of the first failing scene, so a failure freezes its segment
-    and every later one, which can no longer change the outcome, and the
-    loop ends once no earlier scene is left to fit.
+    gradient, loss or logit update is not finite.  The loop stops at the
+    first failure in any scene, which may be a later scene's, at an earlier
+    step.  So when a batch of several scenes fails, the scenes are refit one
+    at a time, in order, and the first that fails alone raises its own error,
+    the one that one fit per scene raises first.  A scene computes in the
+    batch what it computes alone, so one of them fails; were none to, the
+    batch's own error would be raised.
     """
-    # `error` is the first failing scene's; a new one is always an earlier scene's
-    segments, error = [], None
-    for scene in scenes:
-        try:
-            segments.append(_class_vector(scene, sigma, cfg))
-        except HeatlossError as exc:  # what this scene's fit raises, unless an earlier scene fails
-            error = exc
-            break
-    if not segments:
-        raise error
-    live = len(segments)  # segments [0, live) still fit; the later ones are frozen
+    try:
+        return _fit_loop(scenes, sigma, cfg)
+    except HeatlossError:
+        if len(scenes) > 1:
+            for scene in scenes:
+                _fit_loop([scene], sigma, cfg)
+        raise
+
+
+def _fit_loop(scenes: list[SceneAnnotation], sigma: SigmaParams, cfg: FitConfig) -> list[FitTrace]:
+    """The loop of :func:`_fit_batch`; it raises the first failure it meets, in any scene."""
+    segments = [_class_vector(scene, sigma, cfg) for scene in scenes]
     starts = np.cumsum([0] + [heat.size for heat, _, _ in segments])  # segment j: starts[j]:starts[j + 1]
     heat = np.concatenate([heat for heat, _, _ in segments])[None]
     # A class's mask is its value's support: supervision_bundle makes the mask
@@ -246,74 +250,43 @@ def _fit_batch(scenes: list[SceneAnnotation], sigma: SigmaParams, cfg: FitConfig
     # The object count is unused: each class takes its own scene's scale.
     gt = GroundTruthBundle(Grid(heat), Grid((heat > 0.0).astype(np.float64)), 0)
     loss_step = LossStep(gt, cfg.loss, heat.shape)
-    scales = [_loss_scale(cfg.loss, len(scene.boxes)) for scene in scenes[:live]]
+    scales = [_loss_scale(cfg.loss, len(scene.boxes)) for scene in scenes]
     loss_step.scale = np.repeat(scales, np.diff(starts))
     # The grid sum of n_px terms of magnitude at most `peak` is at most about
-    # peak * n_px.  So `peak * bound < 1e300`, with |scale| taken as at least 1,
-    # proves both that sum and the scaled loss finite without gathering.
-    bounds = np.array([s.width * s.height * max(1.0, abs(c)) for s, c in zip(scenes, scales)])
-    widest = float(bounds.max())
+    # peak * n_px.  So `peak * widest < 1e300`, with |scale| taken as at least 1,
+    # proves every scene's sum and scaled loss finite without gathering.
+    widest = max(s.width * s.height * max(1.0, abs(c)) for s, c in zip(scenes, scales))
     theta = np.concatenate([logits for _, _, logits in segments])[None]
     pred, one_minus = np.empty_like(theta), np.empty_like(theta)
     losses: list[list[tuple[int, float]]] = [[] for _ in segments]
-    overflowed: list[str] = []  # what numpy signalled during the last update
-
-    def on_overflow(kind: str, flag: int) -> None:
-        overflowed.append(kind)
-
     for step in range(1, cfg.steps + 1):
         term, grad = loss_step.terms(_expit_into(theta, pred))
-        g = grad[0, : starts[live]]
-        if not (math.isfinite(g.min()) and math.isfinite(g.max())):
-            lo, hi = np.minimum.reduceat(g, starts[:live]), np.maximum.reduceat(g, starts[:live])
-            live = int(np.argmin(np.isfinite(lo) & np.isfinite(hi)))
-            error = ValidationError(f"loss gradient became non-finite at step {step}")
-            if not live:
-                break
+        if not (math.isfinite(grad.min()) and math.isfinite(grad.max())):
+            raise ValidationError(f"loss gradient became non-finite at step {step}")
         recorded = (step - 1) % cfg.record_every == 0
-        t = term[0, : starts[live]]
-        if recorded:
-            check = range(live)
-        elif max(float(t.max()), -float(t.min())) * widest < 1e300:
-            check = ()
-        else:
-            lo, hi = np.minimum.reduceat(t, starts[:live]), np.maximum.reduceat(t, starts[:live])
-            with np.errstate(over="ignore"):
-                check = np.flatnonzero(~(np.maximum(hi, -lo) * bounds[:live] < 1e300))
-        for j in check:
-            classes = segments[j][1]
-            with np.errstate(over="ignore"):  # an overflowing sum yields inf
-                value = scales[j] * float(term[0, starts[j] : starts[j + 1]][classes].sum())
-            if not math.isfinite(value):
-                live, error = j, NonFiniteLossError(
-                    f"loss became non-finite at step {step}; the learning rate "
-                    f"{cfg.learning_rate} is likely too large"
-                )
-                break
-            if recorded:
-                losses[j].append((step, value))
-        if not live:
-            break
-        grad[0, starts[live] :] = 0.0  # frozen segments keep their logits
-        # theta -= lr * grad * pred * (1 - pred), in that order, in grad's buffer.  An
-        # overflow or invalid operation leaves that pixel's logit non-finite.
-        with np.errstate(over="call", invalid="call", call=on_overflow):
-            np.multiply(cfg.learning_rate, grad, out=grad)
-            np.multiply(grad, pred, out=grad)
-            np.multiply(grad, np.subtract(1.0, pred, out=one_minus), out=grad)
-            np.subtract(theta, grad, out=theta)
-        if overflowed:
-            overflowed.clear()
-            finite = np.logical_and.reduceat(np.isfinite(theta[0, : starts[live]]), starts[:live])
-            live, error = int(np.argmin(finite)), NonFiniteLossError(
+        if recorded or not max(float(term.max()), -float(term.min())) * widest < 1e300:
+            for j, (_, classes, _) in enumerate(segments):
+                with np.errstate(over="ignore"):  # an overflowing sum yields inf
+                    value = scales[j] * float(term[0, starts[j] : starts[j + 1]][classes].sum())
+                if not math.isfinite(value):
+                    raise NonFiniteLossError(
+                        f"loss became non-finite at step {step}; the learning rate "
+                        f"{cfg.learning_rate} is likely too large"
+                    )
+                if recorded:
+                    losses[j].append((step, value))
+        # theta -= lr * grad * pred * (1 - pred), in that order, in grad's buffer
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                np.multiply(cfg.learning_rate, grad, out=grad)
+                np.multiply(grad, pred, out=grad)
+                np.multiply(grad, np.subtract(1.0, pred, out=one_minus), out=grad)
+                np.subtract(theta, grad, out=theta)
+        except FloatingPointError:
+            raise NonFiniteLossError(
                 f"the logit update overflowed at step {step}; the learning rate "
                 f"{cfg.learning_rate} is too large"
-            )
-            theta[0, starts[live] :] = 0.0  # any finite logit: the prediction stays in range
-            if not live:
-                break
-    if error is not None:
-        raise error
+            ) from None
     traces = []
     for j, (scene, (_, classes, _)) in enumerate(zip(scenes, segments)):
         logits = theta[0, starts[j] : starts[j + 1]][classes]

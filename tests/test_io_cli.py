@@ -303,6 +303,33 @@ class TestRenderGtCommand:
         assert code != 0
         assert json.loads(err)["error"] == "SCHEMA_ERROR"
 
+    @pytest.mark.parametrize("cx", [1.0, 1.5], ids=["on-pixel", "off-pixel"])
+    def test_underflowing_kernel_width_is_validation_error(self, tmp_path, cx):
+        ann, out = tmp_path / "scene.json", tmp_path / "h.grid"
+        write_scene(ann, width=4, height=4, boxes=((cx, 2.0, 2.0, 2.0),))
+        result = run_cli_process(
+            "render-gt", "--annotation", str(ann), "--eps-sigma", "1e308", "--heatmap-out", str(out)
+        )
+        assert result.returncode == 4 and result.stdout == ""
+        assert "RuntimeWarning" not in result.stderr
+        payload = error_payload(result.stderr)
+        assert payload["error"] == "VALIDATION_ERROR"
+        assert payload["message"].startswith("the kernel width of box 0 underflows: sigma = 5.03")
+        assert "eta = 1.0, eps_sigma = 1e+308" in payload["message"]
+        assert not out.exists()
+
+    def test_tiny_kernel_width_renders_a_point_without_warning(self, tmp_path):
+        """2 sigma^2 is subnormal: every pixel but the centre's exponent overflows to inf."""
+        ann, out = tmp_path / "scene.json", tmp_path / "h.grid"
+        write_scene(ann, width=4, height=4, boxes=((1.0, 2.0, 2.0, 2.0),))
+        result = run_cli_process(
+            "render-gt", "--annotation", str(ann), "--eps-sigma", "1e155", "--heatmap-out", str(out)
+        )
+        assert result.returncode == 0 and result.stderr == ""
+        expected = np.zeros((4, 4))
+        expected[2, 1] = 1.0
+        np.testing.assert_array_equal(read_grid(out).values, expected)
+
 
 class TestInterpolateCommand:
     def test_interpolates_points(self, tmp_path, capsys):

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heatloss import (
@@ -387,38 +387,6 @@ def fit_outcome(fit):
         return type(exc), str(exc)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
-@given(
-    shapes=st.lists(
-        st.tuples(st.integers(1, 20), st.integers(1, 20), st.integers(0, 4), st.integers(0, 2**32 - 1)),
-        min_size=1,
-        max_size=4,
-    ),
-    loss=st.sampled_from(REFERENCE_LOSSES),
-    init=st.sampled_from(list(InitMode)),
-    every=st.integers(1, 9),
-    steps=st.integers(1, 12),
-)
-def test_batch_equals_batch_of_one(shapes, loss, init, every, steps):
-    """One loop over several scenes gives each scene its own fit, bit for bit."""
-    scenes = [
-        generate_scene(SynthParams(seed=seed, width=width, height=height, n_heads=heads))
-        for height, width, heads, seed in shapes
-    ]
-    cfg = FitConfig(loss=loss, steps=steps, learning_rate=0.5, init=init, record_every=every, seed=7)
-    batch = _fit_batch(scenes, SIGMA, cfg)
-    assert len(batch) == len(scenes)
-    for scene, trace in zip(scenes, batch):
-        alone = fit_direct(scene, SIGMA, cfg)
-        losses, final_pred, final_count = reference_fit(scene, SIGMA, cfg)
-        assert trace.losses == alone.losses == losses
-        assert trace.final_pred.values.tobytes() == alone.final_pred.values.tobytes() == final_pred.values.tobytes()
-        assert trace.final_count == alone.final_count == final_count
-        assert trace.gt_count == len(scene.boxes)
-    (_, report), = run_desk_experiment(scenes, [loss], SIGMA, cfg)
-    assert report.per_image == tuple((t.final_count, t.gt_count) for t in batch)
-
-
 def error_scene(heads, side):
     return generate_scene(
         SynthParams(seed=11 + heads, width=side, height=side, n_heads=heads, size_range=(3.0, 6.0))
@@ -455,7 +423,7 @@ LATER_SCENE_FAILS_FIRST = {
         SceneAnnotation(2, 2, ()),
         (NonFiniteLossError, "the logit update overflowed at step 1; the learning rate 300.0 is too large"),
     ),
-    # a kernel width that underflows to 0 makes the heatmap 0 / 0 at an integer centre
+    # a kernel width that underflows to 0 fails the heatmap render
     "preparation": (
         LossConfig(LossVariant.POLY1_PIXELWISE, alpha=1e305, beta=0.5, gamma=2.0, eps1=-10.0),
         1e-304,
@@ -463,9 +431,59 @@ LATER_SCENE_FAILS_FIRST = {
         error_scene(0, 16),
         (ValidationError, "loss gradient became non-finite at step 2"),
         SceneAnnotation(4, 4, (BoxAnnotation(1.0, 2.0, 2.0, 2.0),)),
-        (ValidationError, "grid values must be finite"),
+        (
+            ValidationError,
+            "the kernel width of box 0 underflows: sigma = 5.033689734995427e-308 "
+            "(eta = 1.0, eps_sigma = 1e+308) gives 2 sigma^2 = 0",
+        ),
     ),
 }
+
+
+# the extreme loss and learning rate of each case above, under which some scenes fail
+EXTREME_FITS = [(loss, lr) for loss, lr, *_ in LATER_SCENE_FAILS_FIRST.values()]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    shapes=st.lists(
+        st.tuples(st.integers(1, 20), st.integers(1, 20), st.integers(0, 4), st.integers(0, 2**32 - 1)),
+        min_size=1,
+        max_size=4,
+    ),
+    fit=st.sampled_from([(loss, 0.5) for loss in REFERENCE_LOSSES] + EXTREME_FITS),
+    init=st.sampled_from(list(InitMode)),
+    every=st.integers(1, 9),
+    steps=st.integers(1, 40),
+)
+# the later scene fails first in the batch: at an earlier step, or with another error
+@example([(12, 12, 2, 1), (12, 12, 0, 2)], EXTREME_FITS[0], InitMode.UNIFORM_HALF, 1, 12)
+@example([(8, 8, 4, 1), (8, 8, 0, 2)], EXTREME_FITS[2], InitMode.SEEDED_NOISE, 3, 5)
+def test_batch_equals_batch_of_one(shapes, fit, init, every, steps):
+    """One loop over several scenes gives each scene its own fit, bit for bit, or
+    raises what the first scene whose own fit fails raises."""
+    scenes = [
+        generate_scene(SynthParams(seed=seed, width=width, height=height, n_heads=heads))
+        for height, width, heads, seed in shapes
+    ]
+    loss, lr = fit
+    cfg = FitConfig(loss=loss, steps=steps, learning_rate=lr, init=init, record_every=every, seed=7)
+    alone = [fit_outcome(lambda: fit_direct(scene, SIGMA, cfg)) for scene in scenes]
+    errors = [outcome for outcome in alone if isinstance(outcome, tuple)]
+    if errors:
+        assert fit_outcome(lambda: _fit_batch(scenes, SIGMA, cfg)) == errors[0]
+        assert fit_outcome(lambda: run_desk_experiment(scenes, [loss], SIGMA, cfg)) == errors[0]
+        return
+    batch = _fit_batch(scenes, SIGMA, cfg)
+    assert len(batch) == len(scenes)
+    for scene, trace, own in zip(scenes, batch, alone):
+        losses, final_pred, final_count = reference_fit(scene, SIGMA, cfg)
+        assert trace.losses == own.losses == losses
+        assert trace.final_pred.values.tobytes() == own.final_pred.values.tobytes() == final_pred.values.tobytes()
+        assert trace.final_count == own.final_count == final_count
+        assert trace.gt_count == len(scene.boxes)
+    (_, report), = run_desk_experiment(scenes, [loss], SIGMA, cfg)
+    assert report.per_image == tuple((t.final_count, t.gt_count) for t in batch)
 
 
 @pytest.mark.parametrize("every", [1, 4])
@@ -474,20 +492,19 @@ def test_batch_raises_the_first_failing_scenes_error(case, every):
     """The error is the earliest scene's, even where a later scene fails at an earlier step."""
     loss, lr, sigma, first, first_error, later, later_error = LATER_SCENE_FAILS_FIRST[case]
     cfg = FitConfig(loss=loss, steps=40, learning_rate=lr, record_every=every)
-    with np.errstate(divide="ignore", invalid="ignore"):  # the degenerate kernel's 0 / 0
-        assert fit_outcome(lambda: fit_direct(first, sigma, cfg)) == first_error
-        assert fit_outcome(lambda: fit_direct(later, sigma, cfg)) == later_error
-        for scenes, error in (
-            ([first, later], first_error),
-            ([later, first], later_error),
-            ([first, first, later], first_error),
-            ([first, later, later], first_error),
-        ):
-            assert fit_outcome(lambda: _fit_batch(scenes, sigma, cfg)) == error
-            assert fit_outcome(lambda: run_desk_experiment(scenes, [loss], sigma, cfg)) == error
-        # the first variant fits; the second raises
-        variants = [LossConfig(LossVariant.MASK_FOCAL), loss]
-        assert fit_outcome(lambda: run_desk_experiment([first], variants, sigma, cfg)) == first_error
+    assert fit_outcome(lambda: fit_direct(first, sigma, cfg)) == first_error
+    assert fit_outcome(lambda: fit_direct(later, sigma, cfg)) == later_error
+    for scenes, error in (
+        ([first, later], first_error),
+        ([later, first], later_error),
+        ([first, first, later], first_error),
+        ([first, later, later], first_error),
+    ):
+        assert fit_outcome(lambda: _fit_batch(scenes, sigma, cfg)) == error
+        assert fit_outcome(lambda: run_desk_experiment(scenes, [loss], sigma, cfg)) == error
+    # the first variant fits; the second raises
+    variants = [LossConfig(LossVariant.MASK_FOCAL), loss]
+    assert fit_outcome(lambda: run_desk_experiment([first], variants, sigma, cfg)) == first_error
 
 
 class TestDeskExperiment:
