@@ -22,12 +22,13 @@ rng = np.random.default_rng(2024)
 
 # binary ground truth: box-interior pixels are 1
 binary = rng.integers(0, 2, (12, 12)).astype(float)
-binary_gt = GroundTruthBundle(Grid(binary), Grid(binary), n_objects=4)
+binary_gt = GroundTruthBundle(Grid(binary), n_objects=4)
 
-# smooth ground truth: graded heat inside the mask, zero outside
-mask = (rng.random((12, 12)) < 0.4).astype(float)
-heat = np.where(mask == 1.0, rng.uniform(0.3, 1.0, (12, 12)), 0.0)
-smooth_gt = GroundTruthBundle(Grid(heat), Grid(mask), n_objects=4)
+# smooth ground truth: graded heat inside the box mask, zero outside, so the
+# mask variants read the mask as the heatmap's support
+inside = rng.random((12, 12)) < 0.4
+heat = np.where(inside, rng.uniform(0.3, 1.0, (12, 12)), 0.0)
+smooth_gt = GroundTruthBundle(Grid(heat), n_objects=4)
 
 pred = Grid(rng.uniform(0.05, 0.95, (12, 12)))
 

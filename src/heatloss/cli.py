@@ -95,12 +95,8 @@ def _cmd_interpolate(args: argparse.Namespace) -> int:
 def _cmd_eval_loss(args: argparse.Namespace) -> int:
     pred = _read_grid_auto(args.pred)
     heat = _read_grid_auto(args.heatmap)
-    if args.mask:
-        mask = _read_grid_auto(args.mask)
-    else:
-        mask = Grid((heat.values > 0.0).astype(np.float64))
     cfg = ser.load_loss_config(args.loss_config)
-    bundle = GroundTruthBundle(heatmap=heat, mask=mask, n_objects=args.n_objects)
+    bundle = GroundTruthBundle(heatmap=heat, n_objects=args.n_objects)
     result = loss_with_grad(pred, bundle, cfg)
     _write_grid_auto(result.grad, args.grad_out)
     ser.dump_loss_report(result.value, args.grad_out, args.report_out, result.degenerate_n)
@@ -125,18 +121,17 @@ def random_instance(
     )
     shape = (size, size) if isinstance(size, int) else tuple(size)
     if variant in _BINARY_GT_VARIANTS:
-        heat = mask = rng.integers(0, 2, size=shape).astype(np.float64)
+        heat = rng.integers(0, 2, size=shape).astype(np.float64)
     elif variant in _MASK_VARIANTS:
-        mask = (rng.random(shape) < 0.5).astype(np.float64)
-        heat = np.where(mask == 1.0, rng.uniform(0.05, 1.0, shape), 0.0)
-        heat = np.where((rng.random(shape) < 0.1) & (mask == 1.0), 1.0, heat)
+        inside = rng.random(shape) < 0.5
+        heat = np.where(inside, rng.uniform(0.05, 1.0, shape), 0.0)
+        heat = np.where((rng.random(shape) < 0.1) & inside, 1.0, heat)
     else:
         heat = rng.uniform(0.0, 1.0, shape)
         heat = np.where(rng.random(shape) < 0.1, 1.0, heat)
-        mask = (heat > 0.0).astype(np.float64)
     pred = rng.uniform(0.05, 0.95, shape)
     pred = np.where(np.abs(pred - heat) < 1e-3, pred + 2e-3, pred)
-    bundle = GroundTruthBundle(Grid(heat), Grid(mask), int(rng.integers(1, 6)))
+    bundle = GroundTruthBundle(Grid(heat), int(rng.integers(1, 6)))
     return Grid(pred), bundle, cfg
 
 
@@ -277,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-loss", help="evaluate a loss on a prediction grid")
     p.add_argument("--pred", required=True)
     p.add_argument("--heatmap", required=True)
-    p.add_argument("--mask", help="defaults to (heatmap > 0)")
     p.add_argument("--n-objects", type=int, required=True)
     p.add_argument("--loss-config", required=True)
     p.add_argument("--report-out", required=True)

@@ -8,10 +8,11 @@ two forms:
 * keypoint - ``(1-q)^g ln q - eps1 (1-q)^(g+1)`` on pixels whose heatmap
   value is exactly 1 (``FOCAL_SCALAR``, ``ALPHA_FOCAL``, ``HEATMAP_FOCAL``,
   ``POLY1_PIXELWISE``);
-* graded - ``w dp^g ln(1-dp) - eps1 p^b dp^(g+1)`` on mask=1 pixels, with
-  ``dp = |p - q|`` the absolute prediction error against the heatmap value
-  ``p`` and ``w = (1 - eps1) p^b + eps1`` (``MASK_FOCAL``,
-  ``MASK_FOCAL_POLY1``).
+* graded - ``w dp^g ln(1-dp) - eps1 p^b dp^(g+1)`` on pixels whose heatmap
+  value is positive, with ``dp = |p - q|`` the absolute prediction error
+  against the heatmap value ``p`` and ``w = (1 - eps1) p^b + eps1``
+  (``MASK_FOCAL``, ``MASK_FOCAL_POLY1``).  Their heatmap is truncated to the
+  box mask, so its support is the mask (see ``supervision_bundle``).
 
 Every other pixel takes the background branch ``q^g ln(1-q) - eps1 q^(g+1)``,
 weighted by ``(1 - p)^b`` in ``HEATMAP_FOCAL`` and ``POLY1_PIXELWISE``.  The
@@ -37,8 +38,8 @@ branch runs on the gathered pixels only and is scattered back.  The caller
 forms the value as ``scale`` times the pairwise sum of the unscaled terms.
 A value-only evaluation skips the gradient, its scaling and the clamp gate.
 
-Because a pixel's term and gradient depend only on its prediction, heatmap
-value and mask, a step also serves a bundle of pixel *classes*: a fit
+Because a pixel's term and gradient depend only on its prediction and
+heatmap value, a step also serves a bundle of pixel *classes*: a fit
 prepares one step for all its scenes on a ``(1, U)`` bundle that holds each
 scene's distinct heatmap values one after another, with one scale per class,
 and sums each scene's class terms gathered back onto its grid.
@@ -118,21 +119,17 @@ class ScalarSample:
 
 @dataclass(frozen=True)
 class GroundTruthBundle:
-    """Supervision target: heatmap grid, mask grid, and object count."""
+    """Supervision target: heatmap grid and object count.
+
+    The mask variants read the heatmap's support as their box mask.
+    """
 
     heatmap: Grid
-    mask: Grid
     n_objects: int
 
     def __post_init__(self) -> None:
-        if self.heatmap.shape != self.mask.shape:
-            raise DimensionMismatchError(
-                f"heatmap {self.heatmap.shape} and mask {self.mask.shape} differ in shape"
-            )
         if not self.heatmap.is_unit_range():
             raise ValidationError("heatmap values must lie in [0, 1]")
-        if not self.mask.is_binary():
-            raise ValidationError("mask values must be exactly 0 or 1")
         if self.n_objects < 0:
             raise ValidationError(f"n_objects must be >= 0, got {self.n_objects}")
 
@@ -276,12 +273,6 @@ def _check_bundle(variant: LossVariant, gt: GroundTruthBundle) -> None:
         raise ValidationError(
             f"{variant.value} requires a binary heatmap ground truth (values in {{0, 1}})"
         )
-    if variant in _MASK_VARIANTS:
-        support = gt.heatmap.values > 0.0
-        if not np.array_equal(gt.mask.values == 1.0, support):
-            raise ValidationError(
-                f"{variant.value} requires mask=1 exactly where the heatmap is positive"
-            )
 
 
 class LossStep:
@@ -311,7 +302,7 @@ class LossStep:
         self._cfg = cfg
         self._eps1 = cfg.eps1 if variant in _POLY_VARIANTS else 0.0
         self._graded = variant in _MASK_VARIANTS
-        pos = gt.mask.values == 1.0 if self._graded else heat == 1.0
+        pos = heat > 0.0 if self._graded else heat == 1.0
         self._pos = np.flatnonzero(pos)
         self._heat_pos = heat.ravel()[self._pos]
         self._pos_weight = np.power(self._heat_pos, cfg.beta) if self._graded else None

@@ -140,8 +140,13 @@ def generate_scene(params: SynthParams) -> SceneAnnotation:
     contain exact-1 keypoints); sides are continuous uniforms in
     ``size_range``.  Each head gets its own random stream and up to 1000
     attempts to respect ``min_center_gap`` against already placed heads.
+
+    The placed centres are kept in arrays, so each attempt is one numpy test
+    against all of them, in preallocated buffers.  The centres are integers,
+    so every squared offset below 2**53 is exact.
     """
     boxes: list[BoxAnnotation] = []
+    xs, ys, dx, dy = (np.empty(params.n_heads) for _ in range(4))
     gap_sq = params.min_center_gap**2
     for head in range(params.n_heads):
         stream = _UniformStream(params.seed, head)
@@ -152,7 +157,13 @@ def generate_scene(params: SynthParams) -> SceneAnnotation:
             lo, hi = params.size_range
             w = lo + u_w * (hi - lo)
             h = lo + u_h * (hi - lo)
-            if all((cx - b.cx) ** 2 + (cy - b.cy) ** 2 >= gap_sq for b in boxes):
+            d_x = np.subtract(cx, xs[:head], out=dx[:head])
+            d_y = np.subtract(cy, ys[:head], out=dy[:head])
+            d_x *= d_x
+            d_y *= d_y
+            d_x += d_y
+            if d_x.min(initial=np.inf) >= gap_sq:
+                xs[head], ys[head] = cx, cy
                 boxes.append(BoxAnnotation(cx, cy, w, h))
                 break
         else:
@@ -171,21 +182,17 @@ def supervision_bundle(
 ) -> GroundTruthBundle:
     """Render the ground-truth bundle a loss variant expects for ``scene``.
 
-    Binary-label variants get the binary feature map as both heatmap and
-    mask.  Mask variants get the heatmap truncated to box interiors
-    (heatmap * mask) and, as mask, that heatmap's support, the form their
-    mask-support precondition asks for (inside a very elongated box the
+    Binary-label variants get the binary feature map as heatmap.  Mask
+    variants get the heatmap truncated to box interiors (heatmap * mask),
+    whose support they read as the mask (inside a very elongated box the
     kernel can underflow to 0); keypoint variants get the untruncated heatmap.
     """
     if variant in _BINARY_GT_VARIANTS:
-        binary = render_binary_map(scene, stride)
-        return GroundTruthBundle(binary, binary, len(scene.boxes))
-    mask = render_mask(scene, stride)
+        return GroundTruthBundle(render_binary_map(scene, stride), len(scene.boxes))
     heat = render_heatmap(scene, sigma, stride)
     if variant in _MASK_VARIANTS:
-        heat = Grid(heat.values * mask.values)
-        mask = Grid((heat.values > 0.0).astype(np.float64))
-    return GroundTruthBundle(heat, mask, len(scene.boxes))
+        heat = Grid(heat.values * render_mask(scene, stride).values)
+    return GroundTruthBundle(heat, len(scene.boxes))
 
 
 def _class_vector(
@@ -245,10 +252,8 @@ def _fit_loop(scenes: list[SceneAnnotation], sigma: SigmaParams, cfg: FitConfig)
     segments = [_class_vector(scene, sigma, cfg) for scene in scenes]
     starts = np.cumsum([0] + [heat.size for heat, _, _ in segments])  # segment j: starts[j]:starts[j + 1]
     heat = np.concatenate([heat for heat, _, _ in segments])[None]
-    # A class's mask is its value's support: supervision_bundle makes the mask
-    # heatmap > 0 for the mask variants, and no other variant reads the mask.
     # The object count is unused: each class takes its own scene's scale.
-    gt = GroundTruthBundle(Grid(heat), Grid((heat > 0.0).astype(np.float64)), 0)
+    gt = GroundTruthBundle(Grid(heat), 0)
     loss_step = LossStep(gt, cfg.loss, heat.shape)
     scales = [_loss_scale(cfg.loss, len(scene.boxes)) for scene in scenes]
     loss_step.scale = np.repeat(scales, np.diff(starts))

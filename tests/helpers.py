@@ -7,12 +7,15 @@ import math
 import numpy as np
 
 from heatloss import (
+    BoxAnnotation,
     FitConfig,
     Grid,
     InitMode,
     NonFiniteLossError,
+    PlacementError,
     SceneAnnotation,
     SigmaParams,
+    SynthParams,
     count_image,
     loss_with_grad,
     supervision_bundle,
@@ -61,6 +64,34 @@ def brute_force_peaks(values: np.ndarray, window: int, threshold: float) -> list
         visited |= region
         kept.append(min(region_candidates))
     return sorted(kept)
+
+
+def reference_scene(params: SynthParams) -> SceneAnnotation:
+    """Per-head rejection sampling with a pure-Python gap test against every placed head.
+
+    Follows the documented Philox derivation: head ``i`` draws from key
+    ``(seed, i)``, four uniforms (the top 53 bits of each raw output) per
+    attempt, up to 1000 attempts.  ``generate_scene`` must return the same
+    scene, or raise the same :class:`PlacementError`.
+    """
+    boxes: list[BoxAnnotation] = []
+    gap_sq = params.min_center_gap**2
+    lo, hi = params.size_range
+    for head in range(params.n_heads):
+        bits = np.random.Philox(key=np.array([params.seed, head], dtype=np.uint64))
+        for _ in range(1000):
+            u_x, u_y, u_w, u_h = ((bits.random_raw(4) >> np.uint64(11)) * 2.0**-53).tolist()
+            cx = float(int(u_x * params.width))
+            cy = float(int(u_y * params.height))
+            if all((cx - b.cx) ** 2 + (cy - b.cy) ** 2 >= gap_sq for b in boxes):
+                boxes.append(BoxAnnotation(cx, cy, lo + u_w * (hi - lo), lo + u_h * (hi - lo)))
+                break
+        else:
+            raise PlacementError(
+                f"could not place head {head} with min_center_gap={params.min_center_gap} "
+                f"on a {params.width}x{params.height} scene within 1000 attempts"
+            )
+    return SceneAnnotation(params.width, params.height, tuple(boxes))
 
 
 def reference_fit(

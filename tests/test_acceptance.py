@@ -69,7 +69,7 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 
 def _random_binary_case(rng, beta):
     heat = rng.integers(0, 2, (16, 16)).astype(np.float64)
-    gt = GroundTruthBundle(Grid(heat), Grid(heat), int(rng.integers(1, 8)))
+    gt = GroundTruthBundle(Grid(heat), int(rng.integers(1, 8)))
     pred = Grid(rng.uniform(0.01, 0.99, (16, 16)))
     cfg = LossConfig(
         LossVariant.ALPHA_FOCAL,
@@ -142,7 +142,7 @@ def test_criterion_04_poly1_consistency():
             poly_val = loss_with_grad(pred, gt, replace(cfg, variant=poly, eps1=0.0)).value
             base_val = loss_with_grad(pred, gt, replace(cfg, variant=base_variant)).value
             worst = max(worst, abs(poly_val - base_val))
-    gt = GroundTruthBundle(Grid(np.array([[0.5]])), Grid(np.array([[1.0]])), 1)
+    gt = GroundTruthBundle(Grid(np.array([[0.5]])), 1)
     cfg = LossConfig(LossVariant.MASK_FOCAL_POLY1, alpha=1.0, beta=0.5, gamma=4.0, eps1=1.0)
     example = loss_with_grad(Grid(np.array([[0.9]])), gt, cfg).value
     example_ok = abs(example - 0.0203181) <= 1e-6

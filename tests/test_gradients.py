@@ -45,9 +45,7 @@ def test_batched_values_agree_with_single_evaluation(variant):
 
 
 def test_subgradient_zero_at_prediction_error_kink():
-    gt = GroundTruthBundle(
-        Grid(np.array([[0.5]])), Grid(np.array([[1.0]])), 1
-    )
+    gt = GroundTruthBundle(Grid(np.array([[0.5]])), 1)
     for variant in (LossVariant.MASK_FOCAL, LossVariant.MASK_FOCAL_POLY1):
         cfg = LossConfig(variant, beta=0.5, gamma=0.0, eps1=1.0)
         grad = loss_with_grad(Grid(np.array([[0.5]])), gt, cfg).grad.values
@@ -55,7 +53,7 @@ def test_subgradient_zero_at_prediction_error_kink():
 
 
 def test_gradient_zero_outside_clamp_interior():
-    gt = GroundTruthBundle(Grid(np.array([[1.0, 0.0]])), Grid(np.array([[1.0, 0.0]])), 1)
+    gt = GroundTruthBundle(Grid(np.array([[1.0, 0.0]])), 1)
     cfg = LossConfig(LossVariant.ALPHA_FOCAL, gamma=2.0)
     grad = loss_with_grad(Grid(np.array([[0.0, 1.0]])), gt, cfg).grad.values
     np.testing.assert_array_equal(grad, np.zeros((1, 2)))

@@ -418,6 +418,21 @@ class TestEvalLossCommand:
         assert payload["error"] == "DIM_MISMATCH"
         assert not (tmp_path / "r.json").exists()
 
+    def test_mask_option_is_a_usage_error(self, tmp_path, capsys):
+        # the mask variants read the heatmap's support as their mask
+        pred, heat, cfg = self._write_inputs(tmp_path)
+        mask = tmp_path / "m.grid"
+        write_grid(Grid(np.array([[1.0, 0.0]])), mask)
+        code, out, err = run_cli(
+            capsys, "eval-loss", "--pred", str(pred), "--heatmap", str(heat), "--mask", str(mask),
+            "--n-objects", "1", "--loss-config", str(cfg),
+            "--report-out", str(tmp_path / "r.json"), "--grad-out", str(tmp_path / "g.grid"),
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert error_payload(err)["error"] == "SCHEMA_ERROR"
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "g.grid").exists()
+
 
 class TestGradientOverflow:
     """A huge scale or eps1 overflows the gradient (in float64 or in the float32

@@ -21,8 +21,8 @@ from heatloss import (
 from helpers import random_instance
 
 
-def bundle(heat, mask, n):
-    return GroundTruthBundle(Grid(np.asarray(heat, float)), Grid(np.asarray(mask, float)), n)
+def bundle(heat, n):
+    return GroundTruthBundle(Grid(np.asarray(heat, float)), n)
 
 
 def grid(values):
@@ -54,7 +54,7 @@ class TestFocalScalar:
 
 class TestAlphaFocal:
     def test_worked_value(self):
-        gt = bundle([[1.0, 0.0]], [[1.0, 0.0]], 1)
+        gt = bundle([[1.0, 0.0]], 1)
         cfg = LossConfig(LossVariant.ALPHA_FOCAL, alpha=1, gamma=2)
         got = loss_with_grad(grid([[0.9, 0.1]]), gt, cfg).value
         assert got == pytest.approx(-2.0 * (0.1**2) * math.log(0.9), rel=1e-12)
@@ -63,7 +63,7 @@ class TestAlphaFocal:
     def test_perfect_prediction_bound(self):
         rng = np.random.default_rng(11)
         heat = rng.integers(0, 2, (12, 12)).astype(float)
-        gt = bundle(heat, heat, 5)
+        gt = bundle(heat, 5)
         cfg = LossConfig(LossVariant.ALPHA_FOCAL, alpha=1.0, gamma=2.0)
         clamped = np.clip(heat, cfg.clamp, 1 - cfg.clamp)
         value = loss_with_grad(Grid(clamped), gt, cfg).value
@@ -76,28 +76,28 @@ class TestAlphaFocal:
         pred = rng.uniform(0.01, 0.99, (8, 8))
         n = 4
         cfg = LossConfig(LossVariant.ALPHA_FOCAL, alpha=1.0, gamma=0.0)
-        got = loss_with_grad(Grid(pred), bundle(heat, heat, n), cfg).value
+        got = loss_with_grad(Grid(pred), bundle(heat, n), cfg).value
         bce = -np.where(heat == 1.0, np.log(pred), np.log(1.0 - pred)).sum() / n
         assert got == pytest.approx(bce, abs=1e-12)
 
     def test_non_binary_ground_truth_rejected(self):
-        gt = bundle([[0.5, 0.0]], [[1.0, 0.0]], 1)
+        gt = bundle([[0.5, 0.0]], 1)
         with pytest.raises(ValidationError):
             loss_with_grad(grid([[0.5, 0.5]]), gt, LossConfig(LossVariant.ALPHA_FOCAL))
 
     def test_zero_objects_sets_degenerate_flag(self):
-        gt = bundle([[0.0, 0.0]], [[0.0, 0.0]], 0)
+        gt = bundle([[0.0, 0.0]], 0)
         cfg = LossConfig(LossVariant.ALPHA_FOCAL, alpha=2.0, gamma=2.0)
         result = loss_with_grad(grid([[0.1, 0.2]]), gt, cfg)
         assert result.degenerate_n
         # normalizer falls back to 1
-        same = bundle([[0.0, 0.0]], [[0.0, 0.0]], 1)
+        same = bundle([[0.0, 0.0]], 1)
         assert result.value == loss_with_grad(grid([[0.1, 0.2]]), same, cfg).value
 
 
 class TestHeatmapFocal:
     def test_worked_value(self):
-        gt = bundle([[1.0, 0.5]], [[1.0, 1.0]], 1)
+        gt = bundle([[1.0, 0.5]], 1)
         cfg = LossConfig(LossVariant.HEATMAP_FOCAL, alpha=1, beta=4, gamma=2)
         got = loss_with_grad(grid([[0.9, 0.1]]), gt, cfg).value
         expected = -((0.1**2) * math.log(0.9) + (0.5**4) * (0.1**2) * math.log(0.9))
@@ -108,7 +108,7 @@ class TestHeatmapFocal:
         rng = np.random.default_rng(21)
         heat = rng.integers(0, 2, (10, 10)).astype(float)
         pred = Grid(rng.uniform(0.01, 0.99, (10, 10)))
-        gt = bundle(heat, heat, 3)
+        gt = bundle(heat, 3)
         for beta in (0.0, 1.0, 4.0):
             cfg = LossConfig(LossVariant.HEATMAP_FOCAL, alpha=1.0, beta=beta, gamma=2.0)
             a = loss_with_grad(pred, gt, cfg)
@@ -122,51 +122,37 @@ class TestHeatmapFocal:
         heat[2, 3] = 1.0
         pred = Grid(rng.uniform(0.01, 0.99, (8, 8)))
         cfg = LossConfig(LossVariant.HEATMAP_FOCAL, alpha=1.0, beta=0.0, gamma=2.0)
-        got = loss_with_grad(pred, bundle(heat, (heat > 0) * 1.0, 2), cfg).value
+        got = loss_with_grad(pred, bundle(heat, 2), cfg).value
         relabelled = np.where(heat == 1.0, 1.0, 0.0)
         oracle = loss_with_grad(
-            pred, bundle(relabelled, relabelled, 2), replace(cfg, variant=LossVariant.ALPHA_FOCAL)
+            pred, bundle(relabelled, 2), replace(cfg, variant=LossVariant.ALPHA_FOCAL)
         ).value
         assert got == pytest.approx(oracle, abs=1e-12)
 
 
 class TestMaskFocal:
     def test_zero_prediction_error_contributes_nothing(self):
-        gt = bundle([[0.5]], [[1.0]], 1)
+        gt = bundle([[0.5]], 1)
         cfg = LossConfig(LossVariant.MASK_FOCAL, alpha=1, beta=0.5, gamma=4)
         assert loss_with_grad(grid([[0.5]]), gt, cfg).value == 0.0
 
     def test_worked_positive_value(self):
-        gt = bundle([[0.5]], [[1.0]], 1)
+        gt = bundle([[0.5]], 1)
         cfg = LossConfig(LossVariant.MASK_FOCAL, alpha=1, beta=0.5, gamma=4)
         got = loss_with_grad(grid([[0.9]]), gt, cfg).value
         assert got == pytest.approx(-math.sqrt(0.5) * 0.4**4 * math.log(0.6), rel=1e-9)
         assert got == pytest.approx(0.0092473, abs=1e-6)
 
     def test_worked_negative_value(self):
-        gt = bundle([[0.0]], [[0.0]], 1)
+        gt = bundle([[0.0]], 1)
         cfg = LossConfig(LossVariant.MASK_FOCAL, alpha=1, beta=0.5, gamma=4)
         got = loss_with_grad(grid([[0.1]]), gt, cfg).value
         assert got == pytest.approx(-(0.1**4) * math.log(0.9), rel=1e-9)
         assert got == pytest.approx(1.0536e-5, abs=1e-9)
 
-    def test_mask_heatmap_inconsistency_rejected(self):
-        with pytest.raises(ValidationError):
-            loss_with_grad(
-                grid([[0.5, 0.5]]),
-                bundle([[0.5, 0.2]], [[1.0, 0.0]], 1),
-                LossConfig(LossVariant.MASK_FOCAL),
-            )
-        with pytest.raises(ValidationError):
-            loss_with_grad(
-                grid([[0.5, 0.5]]),
-                bundle([[0.5, 0.0]], [[1.0, 1.0]], 1),
-                LossConfig(LossVariant.MASK_FOCAL),
-            )
-
     def test_contribution_strictly_increasing_in_error(self):
         cfg = LossConfig(LossVariant.MASK_FOCAL, alpha=1.0, beta=0.8, gamma=2.0)
-        gt = bundle([[0.7]], [[1.0]], 1)
+        gt = bundle([[0.7]], 1)
         deltas = np.linspace(0.01, 0.29, 15)
         values = [loss_with_grad(grid([[0.7 + d]]), gt, cfg).value for d in deltas]
         assert all(a < b for a, b in zip(values, values[1:]))
@@ -176,14 +162,14 @@ class TestMaskFocal:
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_beta_weighting_non_increasing_for_partial_heat(self):
-        gt = bundle([[0.6]], [[1.0]], 1)
+        gt = bundle([[0.6]], 1)
         betas = (0.0, 0.5, 1.0, 2.0, 4.0)
         values = [
             loss_with_grad(grid([[0.9]]), gt, LossConfig(LossVariant.MASK_FOCAL, beta=b, gamma=2.0)).value
             for b in betas
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
-        gt_keypoint = bundle([[1.0]], [[1.0]], 1)
+        gt_keypoint = bundle([[1.0]], 1)
         values = [
             loss_with_grad(
                 grid([[0.9]]), gt_keypoint, LossConfig(LossVariant.MASK_FOCAL, beta=b, gamma=2.0)
@@ -196,7 +182,7 @@ class TestMaskFocal:
         rng = np.random.default_rng(31)
         heat = rng.integers(0, 2, (9, 9)).astype(float)
         pred = Grid(rng.uniform(0.01, 0.99, (9, 9)))
-        gt = bundle(heat, heat, 2)
+        gt = bundle(heat, 2)
         for beta in (0.0, 1.5, 4.0):
             cfg = LossConfig(LossVariant.MASK_FOCAL, alpha=1.0, beta=beta, gamma=3.0)
             assert loss_with_grad(pred, gt, cfg).value == pytest.approx(
@@ -206,7 +192,7 @@ class TestMaskFocal:
 
 class TestPoly1:
     def test_worked_value(self):
-        gt = bundle([[0.5]], [[1.0]], 1)
+        gt = bundle([[0.5]], 1)
         cfg = LossConfig(LossVariant.MASK_FOCAL_POLY1, alpha=1, beta=0.5, gamma=4, eps1=1)
         got = loss_with_grad(grid([[0.9]]), gt, cfg).value
         expected = -(0.4**4 * math.log(0.6) - math.sqrt(0.5) * 0.4**5)
@@ -228,7 +214,7 @@ class TestPoly1:
                 np.testing.assert_array_equal(a.grad.values, b.grad.values)
 
     def test_zero_error_pixel_contributes_nothing_for_any_eps1(self):
-        gt = bundle([[0.5]], [[1.0]], 1)
+        gt = bundle([[0.5]], 1)
         for eps1 in (0.0, 0.5, 1.0, 2.0):
             cfg = LossConfig(LossVariant.MASK_FOCAL_POLY1, beta=0.5, gamma=4, eps1=eps1)
             assert loss_with_grad(grid([[0.5]]), gt, cfg).value == 0.0
@@ -239,7 +225,7 @@ class TestLossWithGrad:
         rng = np.random.default_rng(51)
         mask = (rng.random((10, 10)) < 0.4).astype(float)
         heat = np.where(mask == 1.0, rng.uniform(0.05, 0.95, (10, 10)), 0.0)
-        gt = bundle(heat, mask, 4)
+        gt = bundle(heat, 4)
         cfg = LossConfig(LossVariant.MASK_FOCAL, beta=0.7, gamma=2.0)
         pred = Grid(np.clip(heat, cfg.clamp, 1 - cfg.clamp))
         got = loss_with_grad(pred, gt, cfg).value
@@ -267,12 +253,12 @@ class TestLossWithGrad:
                 assert loss_with_grad(pred, gt, cfg).value >= 0.0
 
     def test_dimension_mismatch_rejected(self):
-        gt = bundle([[1.0, 0.0]], [[1.0, 0.0]], 1)
+        gt = bundle([[1.0, 0.0]], 1)
         with pytest.raises(DimensionMismatchError):
             loss_with_grad(grid([[0.5]]), gt, LossConfig(LossVariant.ALPHA_FOCAL))
 
     def test_out_of_range_prediction_rejected(self):
-        gt = bundle([[1.0]], [[1.0]], 1)
+        gt = bundle([[1.0]], 1)
         cfg = LossConfig(LossVariant.ALPHA_FOCAL)
         with pytest.raises(ValidationError):
             loss_with_grad(Grid(np.array([[1.5]])), gt, cfg)
@@ -287,7 +273,7 @@ class TestLossWithGrad:
         heat = rng.integers(0, 2, (6, 6)).astype(float)
         pred = rng.uniform(0.05, 0.95, (6, 6))
         cfg = LossConfig(LossVariant.FOCAL_SCALAR, gamma=2.0)
-        got = loss_with_grad(Grid(pred), bundle(heat, heat, 3), cfg).value
+        got = loss_with_grad(Grid(pred), bundle(heat, 3), cfg).value
         oracle = sum(
             focal_scalar(ScalarSample(float(p), int(c)), 2.0)
             for p, c in zip(pred.ravel(), heat.ravel())

@@ -23,6 +23,8 @@ from heatloss import (
     fit_direct,
     generate_scene,
     loss_with_grad,
+    render_heatmap,
+    render_mask,
     run_desk_experiment,
     supervision_bundle,
 )
@@ -30,7 +32,7 @@ from heatloss.grid import Grid
 from heatloss.losses import LossStep
 from heatloss.errors import HeatlossError
 from heatloss.synth import _fit_batch, expit
-from helpers import reference_fit
+from helpers import reference_fit, reference_scene
 
 SIGMA = SigmaParams(eta=1.0, eps_sigma=3.0)
 
@@ -106,26 +108,49 @@ class TestGenerateScene:
             FitConfig(loss=LossConfig(LossVariant.MASK_FOCAL), steps=1, learning_rate=0.5, seed=seed)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    width=st.integers(1, 64),
+    height=st.integers(1, 64),
+    n_heads=st.integers(0, 40),
+    gap=st.one_of(st.integers(0, 20).map(float), st.floats(0.0, 20.0)),
+    min_side=st.floats(0.5, 16.0),
+    extra_side=st.one_of(st.just(0.0), st.floats(0.0, 16.0)),
+)
+def test_scene_matches_reference_placement(seed, width, height, n_heads, gap, min_side, extra_side):
+    params = SynthParams(seed, width, height, n_heads, (min_side, min_side + extra_side), gap)
+    try:
+        expected = reference_scene(params)
+    except PlacementError as exc:
+        with pytest.raises(PlacementError) as raised:
+            generate_scene(params)
+        assert str(raised.value) == str(exc)
+    else:
+        assert generate_scene(params) == expected
+
+
 class TestSupervisionBundle:
-    def test_binary_variants_get_binary_map_twice(self):
+    def test_binary_variants_get_binary_map(self):
         scene = small_scene()
         bundle = supervision_bundle(scene, SIGMA, LossVariant.ALPHA_FOCAL)
         assert bundle.heatmap.is_binary()
-        np.testing.assert_array_equal(bundle.heatmap.values, bundle.mask.values)
+        np.testing.assert_array_equal(bundle.heatmap.values, render_mask(scene).values)
         assert bundle.n_objects == len(scene.boxes)
 
     def test_mask_variants_get_truncated_consistent_heatmap(self):
         scene = small_scene()
         bundle = supervision_bundle(scene, SIGMA, LossVariant.MASK_FOCAL)
-        support = bundle.heatmap.values > 0.0
-        np.testing.assert_array_equal(support, bundle.mask.values == 1.0)
+        mask = render_mask(scene).values
+        np.testing.assert_array_equal(bundle.heatmap.values, render_heatmap(scene, SIGMA).values * mask)
+        np.testing.assert_array_equal(bundle.heatmap.values > 0.0, mask == 1.0)
         pred = Grid(np.full(bundle.heatmap.shape, 0.5))
         loss_with_grad(pred, bundle, LossConfig(LossVariant.MASK_FOCAL, beta=0.5, gamma=2.0))
 
     def test_keypoint_variants_keep_full_heatmap(self):
         scene = small_scene()
         bundle = supervision_bundle(scene, SIGMA, LossVariant.HEATMAP_FOCAL)
-        assert (bundle.heatmap.values > 0.0).sum() > bundle.mask.values.sum()
+        assert (bundle.heatmap.values > 0.0).sum() > render_mask(scene).values.sum()
         assert (bundle.heatmap.values == 1.0).sum() == len(scene.boxes)
 
 
@@ -322,7 +347,7 @@ class TestFitDirect:
         cfg = LossConfig(LossVariant.MASK_FOCAL, beta=0.5, gamma=4.0)
         bundle = supervision_bundle(scene, SIGMA, cfg.variant)
         target = np.where(
-            bundle.mask.values == 1.0,
+            bundle.heatmap.values > 0.0,
             np.clip(bundle.heatmap.values, cfg.clamp, 1 - cfg.clamp),
             cfg.clamp,
         )
@@ -351,7 +376,7 @@ class TestFitDirect:
         trace = fit_direct(scene, SIGMA, cfg)
         bundle = supervision_bundle(scene, SIGMA, cfg.loss.variant)
         target = np.where(
-            bundle.mask.values == 1.0,
+            bundle.heatmap.values > 0.0,
             np.clip(bundle.heatmap.values, cfg.loss.clamp, 1 - cfg.loss.clamp),
             cfg.loss.clamp,
         )
