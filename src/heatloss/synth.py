@@ -141,12 +141,12 @@ def generate_scene(params: SynthParams) -> SceneAnnotation:
     ``size_range``.  Each head gets its own random stream and up to 1000
     attempts to respect ``min_center_gap`` against already placed heads.
 
-    The placed centres are kept in arrays, so each attempt is one numpy test
-    against all of them, in preallocated buffers.  The centres are integers,
+    The placed centres are kept in two arrays, doubled as they fill, so each
+    attempt is one numpy test against all of them.  The centres are integers,
     so every squared offset below 2**53 is exact.
     """
     boxes: list[BoxAnnotation] = []
-    xs, ys, dx, dy = (np.empty(params.n_heads) for _ in range(4))
+    xs, ys = np.empty(0), np.empty(0)
     gap_sq = params.min_center_gap**2
     for head in range(params.n_heads):
         stream = _UniformStream(params.seed, head)
@@ -157,12 +157,9 @@ def generate_scene(params: SynthParams) -> SceneAnnotation:
             lo, hi = params.size_range
             w = lo + u_w * (hi - lo)
             h = lo + u_h * (hi - lo)
-            d_x = np.subtract(cx, xs[:head], out=dx[:head])
-            d_y = np.subtract(cy, ys[:head], out=dy[:head])
-            d_x *= d_x
-            d_y *= d_y
-            d_x += d_y
-            if d_x.min(initial=np.inf) >= gap_sq:
+            if ((cx - xs[:head]) ** 2 + (cy - ys[:head]) ** 2).min(initial=np.inf) >= gap_sq:
+                if head == xs.size:
+                    xs, ys = (np.concatenate([a, np.empty(head + 1)]) for a in (xs, ys))
                 xs[head], ys[head] = cx, cy
                 boxes.append(BoxAnnotation(cx, cy, w, h))
                 break

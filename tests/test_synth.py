@@ -93,6 +93,11 @@ class TestGenerateScene:
         with pytest.raises(PlacementError, match="min_center_gap"):
             generate_scene(SynthParams(seed=3, width=8, height=8, n_heads=9, min_center_gap=50.0))
 
+    def test_impossible_head_count_fails_at_the_first_unplaceable_head(self):
+        # no buffer is sized by n_heads up front, so a count far too large to store fails as placement
+        with pytest.raises(PlacementError, match="^could not place head 1 with min_center_gap=50.0 "):
+            generate_scene(SynthParams(seed=3, width=8, height=8, n_heads=10**11, min_center_gap=50.0))
+
     def test_invalid_params_rejected(self):
         with pytest.raises(ValidationError):
             SynthParams(seed=1, width=8, height=8, n_heads=1, size_range=(0.0, 4.0))
