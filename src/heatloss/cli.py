@@ -26,7 +26,7 @@ from .grid import Grid, read_grid, read_grid_csv, write_grid, write_grid_csv
 from .ground_truth import SigmaParams, interpolate_boxes, render_heatmap, render_mask
 from .ground_truth import SceneAnnotation
 from .losses import _BINARY_GT_VARIANTS, _MASK_VARIANTS, GroundTruthBundle, LossConfig, LossVariant
-from .losses import LossStep, _loss_values, loss_with_grad
+from .losses import LossStep, _loss_scale, _loss_values, loss_with_grad
 from .synth import FitConfig, InitMode, SynthParams, fit_direct, generate_scene, run_desk_experiment
 
 GRAD_CHECK_TOLERANCE = 1e-6
@@ -143,7 +143,7 @@ def max_grad_deviation(variant: LossVariant, size: int, instances: int, seed: in
     for _ in range(instances):
         pred, bundle, cfg = random_instance(variant, rng, size)
         grad = loss_with_grad(pred, bundle, cfg).grad.values.ravel()
-        loss_step = LossStep(bundle, cfg, (2 * _FD_BLOCK, size, size))
+        loss_step = LossStep(bundle.heatmap, cfg, (2 * _FD_BLOCK, size, size), _loss_scale(cfg, bundle.n_objects))
         fd = np.empty(n)
         for start in range(0, n, _FD_BLOCK):
             k = min(_FD_BLOCK, n - start)

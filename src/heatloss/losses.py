@@ -28,9 +28,9 @@ throughout.  Sums use numpy's pairwise reduction over row-major pixels, so
 results are bit-reproducible.
 
 Every evaluation goes through :meth:`LossStep.terms`, the one method of the
-loss prepared against one bundle for one prediction shape.  Preparing checks
-the bundle, gathers the positive pixels with their heatmap values, and
-computes the constant weight and the scale.  ``terms`` clips the prediction
+loss prepared against one target heatmap and scale for one prediction shape.
+Preparing checks the heatmap, gathers the positive pixels with their heatmap
+values, and computes the constant weight.  ``terms`` clips the prediction
 and runs the background branch over the whole grid in buffers the step owns,
 one ufunc at a time in the operation order of the formula, so no grid-sized
 temporary is made and the result is the formula's bit for bit.  The positive
@@ -39,10 +39,10 @@ forms the value as ``scale`` times the pairwise sum of the unscaled terms.
 A value-only evaluation skips the gradient, its scaling and the clamp gate.
 
 Because a pixel's term and gradient depend only on its prediction and
-heatmap value, a step also serves a bundle of pixel *classes*: a fit
-prepares one step for all its scenes on a ``(1, U)`` bundle that holds each
-scene's distinct heatmap values one after another, with one scale per class,
-and sums each scene's class terms gathered back onto its grid.
+heatmap value, a step also serves a grid of pixel *classes*: a fit prepares
+one step for all its scenes on a ``(1, U)`` grid that holds each scene's
+distinct heatmap values one after another, with one scale per class, and
+sums each scene's class terms gathered back onto its grid.
 :func:`loss_with_grad` and :func:`batched_loss_values` (value-only, one sum
 per flattened grid) prepare one step per call.
 """
@@ -268,37 +268,33 @@ def _loss_scale(cfg: LossConfig, n_objects: int) -> float:
     return -cfg.alpha / (n_objects or 1)
 
 
-def _check_bundle(variant: LossVariant, gt: GroundTruthBundle) -> None:
-    if variant in _BINARY_GT_VARIANTS and not gt.heatmap.is_binary():
-        raise ValidationError(
-            f"{variant.value} requires a binary heatmap ground truth (values in {{0, 1}})"
-        )
-
-
 class LossStep:
-    """``cfg`` against ``gt``, prepared for predictions shaped ``shape`` = ``(..., H, W)``.
+    """``cfg`` against the target ``heatmap``, prepared for predictions shaped ``shape`` = ``(..., H, W)``.
+
+    ``scale`` multiplies the loss: a number, or an array that broadcasts
+    against the prediction, as when a fit over several scenes gives each
+    class its scene's scale.  The gradient is multiplied by it elementwise,
+    so every pixel gets the bits its own scalar scale gives it.
 
     Preparing does, once, the work that does not depend on the prediction:
-    it checks the bundle against the variant, gathers the positive pixels
+    it checks the heatmap against the variant, gathers the positive pixels
     and their heatmap values, computes the constant ``p^b`` or ``(1 - p)^b``
-    weight and the scale, and allocates the grid-sized buffers that every
-    evaluation writes into.  A fit prepares one step and evaluates it on
-    every iteration.  The buffers make a step unsafe to share between threads.
-
-    ``scale`` may be replaced by an array that broadcasts against the
-    prediction: a fit over several scenes gives each class its scene's scale.
-    The gradient is multiplied by it elementwise, so every pixel gets the bits
-    its own scalar scale gives it.
+    weight, and allocates the grid-sized buffers that every evaluation
+    writes into.  A fit prepares one step and evaluates it on every
+    iteration.  The buffers make a step unsafe to share between threads.
     """
 
-    def __init__(self, gt: GroundTruthBundle, cfg: LossConfig, shape: tuple[int, ...]) -> None:
+    def __init__(self, heatmap: Grid, cfg: LossConfig, shape: tuple[int, ...], scale: float | np.ndarray) -> None:
         variant = cfg.variant
-        heat = gt.heatmap.values
+        heat = heatmap.values
         if tuple(shape[-2:]) != heat.shape:
             raise DimensionMismatchError(
                 f"prediction shape {tuple(shape[-2:])} does not match ground truth {heat.shape}"
             )
-        _check_bundle(variant, gt)
+        if variant in _BINARY_GT_VARIANTS and not heatmap.is_binary():
+            raise ValidationError(
+                f"{variant.value} requires a binary heatmap ground truth (values in {{0, 1}})"
+            )
         self._cfg = cfg
         self._eps1 = cfg.eps1 if variant in _POLY_VARIANTS else 0.0
         self._graded = variant in _MASK_VARIANTS
@@ -309,8 +305,7 @@ class LossStep:
         self._neg_weight = (
             np.power(1.0 - heat, cfg.beta) if variant in _WEIGHTED_NEG_VARIANTS else None
         )
-        self.scale = _loss_scale(cfg, gt.n_objects)
-        self.degenerate = gt.n_objects == 0 and variant is not LossVariant.FOCAL_SCALAR
+        self.scale = scale
         self._rows = (-1, heat.size)
         self._q, self._pg, self._scratch, self._term, self._grad = (np.empty(shape) for _ in range(5))
         self._inside, self._below = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
@@ -361,14 +356,15 @@ def loss_with_grad(pred: Grid, gt: GroundTruthBundle, cfg: LossConfig) -> LossRe
     The gradient is analytic and matches central finite differences of the
     value (step 1e-6) to 1e-6 relative at clamp-interior predictions.
     """
-    step = LossStep(gt, cfg, pred.shape)
+    step = LossStep(gt.heatmap, cfg, pred.shape, _loss_scale(cfg, gt.n_objects))
     term, grad = step.terms(pred.values)
     with np.errstate(over="ignore"):  # an overflowing sum or product yields inf
         total = float(term.sum())  # one pairwise sum over the row-major pixels
         value = step.scale * total
     if not (math.isfinite(grad.min()) and math.isfinite(grad.max())):
         raise ValidationError("loss gradient is non-finite; alpha or eps1 is likely too large")
-    return LossResult(value=value, grad=Grid(grad), degenerate_n=step.degenerate)
+    degenerate = gt.n_objects == 0 and cfg.variant is not LossVariant.FOCAL_SCALAR
+    return LossResult(value=value, grad=Grid(grad), degenerate_n=degenerate)
 
 
 def batched_loss_values(preds: np.ndarray, gt: GroundTruthBundle, cfg: LossConfig) -> np.ndarray:
@@ -378,7 +374,7 @@ def batched_loss_values(preds: np.ndarray, gt: GroundTruthBundle, cfg: LossConfi
     bit; used for parameter sweeps and finite-difference verification.
     """
     preds = np.asarray(preds, dtype=np.float64)
-    return _loss_values(LossStep(gt, cfg, preds.shape), preds)
+    return _loss_values(LossStep(gt.heatmap, cfg, preds.shape, _loss_scale(cfg, gt.n_objects)), preds)
 
 
 def _loss_values(step: LossStep, preds: np.ndarray) -> np.ndarray:

@@ -218,8 +218,8 @@ def _fit_batch(scenes: list[SceneAnnotation], sigma: SigmaParams, cfg: FitConfig
     trajectories.  Under a constant initialization a scene therefore fits one
     logit per distinct heatmap value (a pixel class); under ``SEEDED_NOISE``
     every pixel is its own class.  The scenes' class vectors lie one after
-    another (a segment each) in one ``(1, U)`` bundle with one prepared loss,
-    whose gradient is multiplied by each class's own scene scale.  A
+    another (a segment each) in one ``(1, U)`` grid with one prepared loss,
+    whose scale is an array that gives each class its own scene's scale.  A
     recorded loss is the scene's scale times the pairwise sum of its class
     terms gathered back onto its grid, the very sum a whole-grid step takes.
     An unrecorded step gathers the segments only when a bound cannot prove
@@ -249,11 +249,8 @@ def _fit_loop(scenes: list[SceneAnnotation], sigma: SigmaParams, cfg: FitConfig)
     segments = [_class_vector(scene, sigma, cfg) for scene in scenes]
     starts = np.cumsum([0] + [heat.size for heat, _, _ in segments])  # segment j: starts[j]:starts[j + 1]
     heat = np.concatenate([heat for heat, _, _ in segments])[None]
-    # The object count is unused: each class takes its own scene's scale.
-    gt = GroundTruthBundle(Grid(heat), 0)
-    loss_step = LossStep(gt, cfg.loss, heat.shape)
     scales = [_loss_scale(cfg.loss, len(scene.boxes)) for scene in scenes]
-    loss_step.scale = np.repeat(scales, np.diff(starts))
+    loss_step = LossStep(Grid(heat), cfg.loss, heat.shape, np.repeat(scales, np.diff(starts)))
     # The grid sum of n_px terms of magnitude at most `peak` is at most about
     # peak * n_px.  So `peak * widest < 1e300`, with |scale| taken as at least 1,
     # proves every scene's sum and scaled loss finite without gathering.

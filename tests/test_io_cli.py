@@ -390,6 +390,20 @@ class TestEvalLossCommand:
         assert report["grad_file"] == str(grad_p)
         assert read_grid(grad_p).shape == (1, 2)
 
+    @pytest.mark.parametrize("variant, flag", [("MASK_FOCAL", True), ("FOCAL_SCALAR", None)])
+    def test_zero_objects_report_flag(self, tmp_path, capsys, variant, flag):
+        pred, heat, cfg = self._write_inputs(tmp_path)  # the heatmap is binary
+        cfg.write_text(json.dumps({"variant": variant}))
+        report_p = tmp_path / "report.json"
+        code, _, err = run_cli(
+            capsys, "eval-loss", "--pred", str(pred), "--heatmap", str(heat),
+            "--n-objects", "0", "--loss-config", str(cfg),
+            "--report-out", str(report_p), "--grad-out", str(tmp_path / "g.grid"),
+        )
+        assert code == 0 and err == ""
+        report = json.loads(report_p.read_text())
+        assert report.get("degenerate_n") is flag
+
     def test_csv_grad_out_is_csv(self, tmp_path):
         pred, heat, cfg = self._write_inputs(tmp_path)
         grads = {}

@@ -85,14 +85,17 @@ class TestAlphaFocal:
         with pytest.raises(ValidationError):
             loss_with_grad(grid([[0.5, 0.5]]), gt, LossConfig(LossVariant.ALPHA_FOCAL))
 
-    def test_zero_objects_sets_degenerate_flag(self):
-        gt = bundle([[0.0, 0.0]], 0)
-        cfg = LossConfig(LossVariant.ALPHA_FOCAL, alpha=2.0, gamma=2.0)
-        result = loss_with_grad(grid([[0.1, 0.2]]), gt, cfg)
-        assert result.degenerate_n
-        # normalizer falls back to 1
-        same = bundle([[0.0, 0.0]], 1)
-        assert result.value == loss_with_grad(grid([[0.1, 0.2]]), same, cfg).value
+
+@pytest.mark.parametrize("variant", list(LossVariant))
+def test_zero_objects_fall_back_to_one(variant):
+    """Every grid variant flags an empty bundle and normalizes it by 1; ``FOCAL_SCALAR`` is unnormalized."""
+    pred, gt, cfg = random_instance(variant, np.random.default_rng(5))
+    result = loss_with_grad(pred, replace(gt, n_objects=0), cfg)
+    assert result.degenerate_n is (variant is not LossVariant.FOCAL_SCALAR)
+    one = loss_with_grad(pred, replace(gt, n_objects=1), cfg)
+    assert result.value == one.value
+    assert result.grad.values.tobytes() == one.grad.values.tobytes()
+    assert not one.degenerate_n
 
 
 class TestHeatmapFocal:

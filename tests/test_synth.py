@@ -29,7 +29,7 @@ from heatloss import (
     supervision_bundle,
 )
 from heatloss.grid import Grid
-from heatloss.losses import LossStep
+from heatloss.losses import LossStep, _loss_scale
 from heatloss.errors import HeatlossError
 from heatloss.synth import _fit_batch, expit
 from helpers import reference_fit, reference_scene
@@ -187,7 +187,8 @@ def test_every_supervision_bundle_prepares_every_loss(width, height, boxes, stri
     )
     for variant in LossVariant:
         bundle = supervision_bundle(scene, SIGMA, variant, stride)
-        LossStep(bundle, LossConfig(variant), bundle.heatmap.shape)
+        cfg = LossConfig(variant)
+        LossStep(bundle.heatmap, cfg, bundle.heatmap.shape, _loss_scale(cfg, bundle.n_objects))
 
 
 # (height, width, heads) of the scenes, and the losses, that fits are compared on
