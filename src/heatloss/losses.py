@@ -44,7 +44,9 @@ one step for all its scenes on a ``(1, U)`` grid that holds each scene's
 distinct heatmap values one after another, with one scale per class, and
 sums each scene's class terms gathered back onto its grid.
 :func:`loss_with_grad` and :func:`batched_loss_values` (value-only, one sum
-per flattened grid) prepare one step per call.
+per flattened grid) prepare one step per call.  Like the fit, they evaluate
+and sum under one ``np.errstate(all="ignore")`` and check finiteness
+themselves; the kernels and ``terms`` run under their caller's error state.
 """
 
 from __future__ import annotations
@@ -311,7 +313,7 @@ class LossStep:
         self._inside, self._below = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
 
     def terms(self, preds: np.ndarray, with_grad: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-        """Unscaled per-pixel terms of ``preds`` and the gradient of the scaled loss.
+        """Unscaled per-pixel terms of ``preds`` and the scaled loss's gradient, under the caller's error state.
 
         The loss value is ``scale`` times the sum of the terms.  Both arrays
         are the step's own buffers, valid until the next call.  Without
@@ -340,13 +342,10 @@ class LossStep:
         if not with_grad:
             return term, None
         grad.reshape(self._rows)[:, self._pos] = pos_grad
-        # A huge scale may overflow the gradient to inf (and inf * 0 to nan in the
-        # gate); callers test it for finiteness, so numpy need not warn.
-        with np.errstate(over="ignore", invalid="ignore"):
-            grad *= self.scale
-            np.greater(preds, lo, out=self._inside)
-            self._inside &= np.less(preds, hi, out=self._below)
-            grad *= self._inside
+        grad *= self.scale
+        np.greater(preds, lo, out=self._inside)
+        self._inside &= np.less(preds, hi, out=self._below)
+        grad *= self._inside
         return term, grad
 
 
@@ -357,8 +356,8 @@ def loss_with_grad(pred: Grid, gt: GroundTruthBundle, cfg: LossConfig) -> LossRe
     value (step 1e-6) to 1e-6 relative at clamp-interior predictions.
     """
     step = LossStep(gt.heatmap, cfg, pred.shape, _loss_scale(cfg, gt.n_objects))
-    term, grad = step.terms(pred.values)
-    with np.errstate(over="ignore"):  # an overflowing sum or product yields inf
+    with np.errstate(all="ignore"):
+        term, grad = step.terms(pred.values)
         total = float(term.sum())  # one pairwise sum over the row-major pixels
         value = step.scale * total
     if not (math.isfinite(grad.min()) and math.isfinite(grad.max())):
@@ -379,8 +378,8 @@ def batched_loss_values(preds: np.ndarray, gt: GroundTruthBundle, cfg: LossConfi
 
 def _loss_values(step: LossStep, preds: np.ndarray) -> np.ndarray:
     """The loss value of each ``(H, W)`` slice of ``preds``, which has ``step``'s shape."""
-    term = step.terms(preds, with_grad=False)[0]
-    with np.errstate(over="ignore"):  # an overflowing sum or product yields inf
+    with np.errstate(all="ignore"):
+        term = step.terms(preds, with_grad=False)[0]
         # one pairwise sum per flattened grid, the sum loss_with_grad takes
         totals = term.reshape(preds.shape[:-2] + (preds.shape[-2] * preds.shape[-1],)).sum(axis=-1)
         return step.scale * totals

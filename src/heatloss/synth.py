@@ -35,14 +35,14 @@ _PLACEMENT_ATTEMPTS = 1000
 
 def expit(x: np.ndarray) -> np.ndarray:
     """Logistic sigmoid; exactly 0.0 once ``exp(-x)`` overflows, 1.0 from x ~ 37."""
-    return _expit_into(x, np.empty(np.shape(x)))
+    with np.errstate(all="ignore"):
+        return _expit_into(x, np.empty(np.shape(x)))
 
 
 def _expit_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``1 / (1 + exp(-x))`` written into ``out``, one ufunc at a time."""
+    """``1 / (1 + exp(-x))`` written into ``out``, one ufunc at a time, under the caller's error state."""
     np.negative(x, out=out)
-    with np.errstate(over="ignore"):
-        np.exp(out, out=out)
+    np.exp(out, out=out)
     np.add(1.0, out, out=out)
     return np.divide(1.0, out, out=out)
 
@@ -258,34 +258,34 @@ def _fit_loop(scenes: list[SceneAnnotation], sigma: SigmaParams, cfg: FitConfig)
     theta = np.concatenate([logits for _, _, logits in segments])[None]
     pred, one_minus = np.empty_like(theta), np.empty_like(theta)
     losses: list[list[tuple[int, float]]] = [[] for _ in segments]
-    for step in range(1, cfg.steps + 1):
-        term, grad = loss_step.terms(_expit_into(theta, pred))
-        if not (math.isfinite(grad.min()) and math.isfinite(grad.max())):
-            raise ValidationError(f"loss gradient became non-finite at step {step}")
-        recorded = (step - 1) % cfg.record_every == 0
-        if recorded or not max(float(term.max()), -float(term.min())) * widest < 1e300:
-            for j, (_, classes, _) in enumerate(segments):
-                with np.errstate(over="ignore"):  # an overflowing sum yields inf
+    with np.errstate(all="ignore"):  # the checks below decide what is an error
+        for step in range(1, cfg.steps + 1):
+            term, grad = loss_step.terms(_expit_into(theta, pred))
+            if not (math.isfinite(grad.min()) and math.isfinite(grad.max())):
+                raise ValidationError(f"loss gradient became non-finite at step {step}")
+            recorded = (step - 1) % cfg.record_every == 0
+            if recorded or not max(float(term.max()), -float(term.min())) * widest < 1e300:
+                for j, (_, classes, _) in enumerate(segments):
                     value = scales[j] * float(term[0, starts[j] : starts[j + 1]][classes].sum())
-                if not math.isfinite(value):
-                    raise NonFiniteLossError(
-                        f"loss became non-finite at step {step}; the learning rate "
-                        f"{cfg.learning_rate} is likely too large"
-                    )
-                if recorded:
-                    losses[j].append((step, value))
-        # theta -= lr * grad * pred * (1 - pred), in that order, in grad's buffer
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                np.multiply(cfg.learning_rate, grad, out=grad)
-                np.multiply(grad, pred, out=grad)
-                np.multiply(grad, np.subtract(1.0, pred, out=one_minus), out=grad)
-                np.subtract(theta, grad, out=theta)
-        except FloatingPointError:
-            raise NonFiniteLossError(
-                f"the logit update overflowed at step {step}; the learning rate "
-                f"{cfg.learning_rate} is too large"
-            ) from None
+                    if not math.isfinite(value):
+                        raise NonFiniteLossError(
+                            f"loss became non-finite at step {step}; the learning rate "
+                            f"{cfg.learning_rate} is likely too large"
+                        )
+                    if recorded:
+                        losses[j].append((step, value))
+            # theta -= lr * grad * pred * (1 - pred), in that order, in grad's buffer; overflow is trapped
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    np.multiply(cfg.learning_rate, grad, out=grad)
+                    np.multiply(grad, pred, out=grad)
+                    np.multiply(grad, np.subtract(1.0, pred, out=one_minus), out=grad)
+                    np.subtract(theta, grad, out=theta)
+            except FloatingPointError:
+                raise NonFiniteLossError(
+                    f"the logit update overflowed at step {step}; the learning rate "
+                    f"{cfg.learning_rate} is too large"
+                ) from None
     traces = []
     for j, (scene, (_, classes, _)) in enumerate(zip(scenes, segments)):
         logits = theta[0, starts[j] : starts[j + 1]][classes]

@@ -48,12 +48,12 @@ def error_payload(err):
     return payload
 
 
-def run_cli_process(*argv):
-    """The CLI as a child process, so warnings numpy prints reach its stderr."""
+def run_cli_process(*argv, env=None):
+    """The CLI as a child process, so warnings numpy prints reach its stderr; ``env`` adds variables."""
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "heatloss.cli", *argv],
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env={**os.environ, "PYTHONPATH": pythonpath, **(env or {})},
         capture_output=True,
         text=True,
         timeout=60,
@@ -403,6 +403,23 @@ class TestEvalLossCommand:
         assert code == 0 and err == ""
         report = json.loads(report_p.read_text())
         assert report.get("degenerate_n") is flag
+
+    @pytest.mark.parametrize(
+        "env", [None, {"PYTHONWARNINGS": "error::RuntimeWarning"}], ids=["plain", "warnings-as-errors"]
+    )
+    def test_overflow_in_overwritten_background_work_is_silent(self, tmp_path, env):
+        """At gamma = 1e308 the background branch overflows at the keypoint, which overwrites it."""
+        pred, heat, cfg = tmp_path / "pred.grid", tmp_path / "heat.grid", tmp_path / "loss.json"
+        write_grid(Grid(np.array([[0.9999, 0.5], [0.2, 0.0001]])), pred)
+        write_grid(Grid(np.array([[1.0, 0.3], [0.0, 0.0]])), heat)
+        cfg.write_text(json.dumps({"variant": "HEATMAP_FOCAL", "gamma": 1e308}))
+        result = run_cli_process(
+            "eval-loss", "--pred", str(pred), "--heatmap", str(heat), "--n-objects", "1",
+            "--loss-config", str(cfg), "--report-out", str(tmp_path / "r.json"),
+            "--grad-out", str(tmp_path / "g.grid"), env=env,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+        assert json.loads((tmp_path / "r.json").read_text())["value"] == 0.0
 
     def test_csv_grad_out_is_csv(self, tmp_path):
         pred, heat, cfg = self._write_inputs(tmp_path)

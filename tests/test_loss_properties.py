@@ -9,15 +9,25 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heatloss import (
+    FitConfig,
     Grid,
+    GroundTruthBundle,
+    HeatlossError,
+    InitMode,
+    LossConfig,
     LossVariant,
     ScalarSample,
+    SigmaParams,
+    SynthParams,
+    ValidationError,
     batched_loss_values,
+    fit_direct,
     focal_scalar,
+    generate_scene,
     loss_with_grad,
 )
 from helpers import random_instance
@@ -151,3 +161,51 @@ def test_gradient_is_zero_at_the_clamp_and_the_unit_edges(variant, shape, seed, 
     values, moved = with_edges(pred.values, clamp, rng)
     grad = loss_with_grad(Grid(values), gt, replace(cfg, clamp=clamp)).grad.values
     assert np.all(grad[moved] == 0.0)
+
+
+@st.composite
+def extreme_cases(draw):
+    """A valid config with settings up to 1e308 and clamps down to 1e-300, a prediction
+    with values at 0, on the clamp and at 1, and ground truth the variant accepts."""
+    cfg = LossConfig(
+        draw(variants),
+        alpha=draw(st.floats(0.0, 1e308, exclude_min=True)),
+        beta=draw(st.floats(0.0, 1e308)),
+        gamma=draw(st.floats(0.0, 1e308)),
+        eps1=draw(st.floats(-1e308, 1e308)),
+        clamp=draw(st.floats(1e-300, 0.5, exclude_max=True)),
+    )
+    rng = np.random.default_rng(draw(seeds))
+    pred, gt, _ = random_instance(cfg.variant, rng, draw(shapes))
+    return cfg, with_edges(pred.values, cfg.clamp, rng)[0], gt
+
+
+FIT_SCENE = generate_scene(SynthParams(seed=5, width=8, height=6, n_heads=2))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(extreme_cases(), st.floats(0.0, 1e308, exclude_min=True), st.sampled_from(list(InitMode)))
+# background work overflows (gamma ln(1-q)) and turns invalid (0 * inf) at the keypoint, which overwrites it
+@example(
+    (
+        LossConfig(LossVariant.HEATMAP_FOCAL, gamma=1e308),
+        np.array([[0.9999, 0.5], [0.2, 0.0001]]),
+        GroundTruthBundle(Grid(np.array([[1.0, 0.3], [0.0, 0.0]])), 1),
+    ),
+    0.5,
+    InitMode.UNIFORM_HALF,
+)
+def test_a_valid_loss_evaluation_never_warns(case, learning_rate, init):
+    """Every entry point returns or raises its own error; numpy never warns."""
+    cfg, pred, gt = case
+    try:
+        loss_with_grad(Grid(pred), gt, cfg)
+    except ValidationError:
+        pass
+    assert batched_loss_values(pred[None], gt, cfg).shape == (1,)
+    fit = FitConfig(loss=cfg, steps=3, learning_rate=learning_rate, init=init, record_every=2, seed=1)
+    try:
+        fit_direct(FIT_SCENE, SigmaParams(eta=1.0, eps_sigma=3.0), fit)
+    except HeatlossError:
+        pass

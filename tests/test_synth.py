@@ -333,6 +333,19 @@ class TestFitDirect:
         cfg = FitConfig(loss=loss, steps=30, learning_rate=0.5, record_every=every)
         assert_matches_reference(CLASS_SCENES[scene_name], cfg)
 
+    @pytest.mark.parametrize("loss", REFERENCE_LOSSES, ids=lambda c: f"{c.variant.value}_eps1_{c.eps1}")
+    def test_zeros_logit_is_uniform_half_bit_for_bit(self, loss):
+        assert expit(np.zeros(1))[0] == 0.5
+        half, zeros = (
+            fit_direct(CLASS_SCENES["96x64_12_heads"], SIGMA, FitConfig(
+                loss=loss, steps=30, learning_rate=0.5, init=init, record_every=7
+            ))
+            for init in (InitMode.UNIFORM_HALF, InitMode.ZEROS_LOGIT)
+        )
+        assert half.losses == zeros.losses
+        assert half.final_pred.values.tobytes() == zeros.final_pred.values.tobytes()
+        assert half.final_count == zeros.final_count
+
     def test_recorded_losses_non_increasing_at_pinned_configuration(self):
         scene = generate_scene(
             SynthParams(seed=42, width=64, height=64, n_heads=5, min_center_gap=20.0)
@@ -557,6 +570,17 @@ class TestDeskExperiment:
         fit = FitConfig(loss=cfg, steps=40, learning_rate=0.5)
         results = run_desk_experiment([scene], [cfg, cfg], SIGMA, fit)
         assert results[0][1] == results[1][1]
+
+    def test_zeros_logit_report_is_uniform_half_report(self):
+        scenes = [small_scene(n_heads=heads, seed=heads) for heads in range(4)]
+        half, zeros = (
+            run_desk_experiment(scenes, REFERENCE_LOSSES, SIGMA, FitConfig(
+                loss=REFERENCE_LOSSES[0], steps=60, learning_rate=0.5, init=init
+            ))
+            for init in (InitMode.UNIFORM_HALF, InitMode.ZEROS_LOGIT)
+        )
+        assert {cfg.variant for cfg, _ in half} == set(LossVariant)
+        assert half == zeros
 
     def test_empty_inputs_rejected(self):
         fit = FitConfig(loss=LossConfig(LossVariant.MASK_FOCAL), steps=1, learning_rate=0.5)
