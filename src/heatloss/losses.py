@@ -1,42 +1,44 @@
 """The focal-loss family over prediction grids, with analytic gradients.
 
-Every variant is one poly-1 form: a positive and a negative per-pixel branch,
-summed over the grid and scaled by ``-alpha / N`` (``N`` = object count;
-``FOCAL_SCALAR`` is the plain unscaled sum).  The positive branch takes one of
-two forms:
+Every variant is one poly-1 form, ``log_w d^g ln(1-d) - poly_w d^(g+1)``,
+applied per pixel to one prediction error ``d``, summed over the grid and
+scaled by ``-alpha / N`` (``N`` = object count; ``FOCAL_SCALAR`` is the
+plain unscaled sum).  A pixel's error is one of three:
 
-* keypoint - ``(1-q)^g ln q - eps1 (1-q)^(g+1)`` on pixels whose heatmap
-  value is exactly 1 (``FOCAL_SCALAR``, ``ALPHA_FOCAL``, ``HEATMAP_FOCAL``,
-  ``POLY1_PIXELWISE``);
-* graded - ``w dp^g ln(1-dp) - eps1 p^b dp^(g+1)`` on pixels whose heatmap
-  value is positive, with ``dp = |p - q|`` the absolute prediction error
-  against the heatmap value ``p`` and ``w = (1 - eps1) p^b + eps1``
-  (``MASK_FOCAL``, ``MASK_FOCAL_POLY1``).  Their heatmap is truncated to the
-  box mask, so its support is the mask (see ``supervision_bundle``).
+* keypoint - ``d = 1 - q`` on pixels whose heatmap value is exactly 1
+  (``FOCAL_SCALAR``, ``ALPHA_FOCAL``, ``HEATMAP_FOCAL``, ``POLY1_PIXELWISE``),
+  with ``ln(1-d)`` taken as ``ln q``;
+* graded - ``d = |p - q|`` against the heatmap value ``p`` on pixels whose
+  heatmap value is positive (``MASK_FOCAL``, ``MASK_FOCAL_POLY1``), with
+  ``log_w = (1 - eps1) p^b + eps1`` and ``poly_w = eps1 p^b``.  Their
+  heatmap is truncated to the box mask, so its support is the mask (see
+  ``supervision_bundle``);
+* background - ``d = q`` on every other pixel, weighted by ``(1 - p)^b`` in
+  ``HEATMAP_FOCAL`` and ``POLY1_PIXELWISE``.
 
-Every other pixel takes the background branch ``q^g ln(1-q) - eps1 q^(g+1)``,
-weighted by ``(1 - p)^b`` in ``HEATMAP_FOCAL`` and ``POLY1_PIXELWISE``.  The
-four base variants are their poly-1 forms at ``eps1 = 0``: ``POLY1_PIXELWISE``
-and ``MASK_FOCAL_POLY1`` at ``eps1 = 0`` run the very arithmetic of
+Elsewhere ``log_w = 1`` and ``poly_w = eps1``, with ``eps1 = 0`` in the four
+base variants, where the polynomial term is skipped: ``POLY1_PIXELWISE`` and
+``MASK_FOCAL_POLY1`` at ``eps1 = 0`` run the very arithmetic of
 ``HEATMAP_FOCAL`` and ``MASK_FOCAL``.  On binary ground truth the negative
 weight is 1 and every variant reduces to focal loss.
 
 Predictions are clamped to ``[clamp, 1 - clamp]`` before any logarithm, and
-``dp`` is capped below ``1 - clamp``; gradients are zero where the clamp is
-active and use subgradient 0 at the ``dp = 0`` kink.  Natural logarithms
-throughout.  Sums use numpy's pairwise reduction over row-major pixels, so
-results are bit-reproducible.
+the graded ``d`` is capped below ``1 - clamp``; gradients are zero where the
+clamp is active and use subgradient 0 at the graded ``d = 0`` kink.  Natural
+logarithms throughout.  Sums use numpy's pairwise reduction over row-major
+pixels, so results are bit-reproducible.
 
 Every evaluation goes through :meth:`LossStep.terms`, the one method of the
 loss prepared against one target heatmap and scale for one prediction shape.
 Preparing checks the heatmap, gathers the positive pixels with their heatmap
-values, and computes the constant weight.  ``terms`` clips the prediction
-and runs the background branch over the whole grid in buffers the step owns,
-one ufunc at a time in the operation order of the formula, so no grid-sized
-temporary is made and the result is the formula's bit for bit.  The positive
-branch runs on the gathered pixels only and is scattered back.  The caller
-forms the value as ``scale`` times the pairwise sum of the unscaled terms.
-A value-only evaluation skips the gradient, its scaling and the clamp gate.
+values, and computes the constant weights.  ``terms`` clips the prediction
+and calls the one kernel, :func:`_poly1`, twice: on the background error
+over the whole grid in buffers the step owns, one ufunc at a time in the
+operation order of the formula, so no grid-sized temporary is made; then on
+the positive error of the gathered positive pixels, scattered back.  The
+caller forms the value as ``scale`` times the pairwise sum of the unscaled
+terms.  A value-only evaluation skips the gradient, its scaling and the
+clamp gate.
 
 Because a pixel's term and gradient depend only on its prediction and
 heatmap value, a step also serves a grid of pixel *classes*: a fit prepares
@@ -44,9 +46,11 @@ one step for all its scenes on a ``(1, U)`` grid that holds each scene's
 distinct heatmap values one after another, with one scale per class, and
 sums each scene's class terms gathered back onto its grid.
 :func:`loss_with_grad` and :func:`batched_loss_values` (value-only, one sum
-per flattened grid) prepare one step per call.  Like the fit, they evaluate
-and sum under one ``np.errstate(all="ignore")`` and check finiteness
-themselves; the kernels and ``terms`` run under their caller's error state.
+per flattened grid) prepare one step per call and check that the
+predictions lie in ``[0, 1]``; a fit's predictions are its own sigmoid.
+Like the fit, they evaluate and sum under one ``np.errstate(all="ignore")``
+and check finiteness themselves; the kernel and ``terms`` run under their
+caller's error state.
 """
 
 from __future__ import annotations
@@ -162,104 +166,42 @@ def focal_scalar(sample: ScalarSample, gamma: float, clamp: float = LossConfig.c
     return -((1.0 - p_t) ** gamma) * math.log(p_t)
 
 
-# --- branch kernels -----------------------------------------------------------
-# Each gives the per-pixel term and, unless the call wants the value only, its
-# derivative in q, sharing the power and logarithm between them.  The term's
-# operations are the same either way.  The eps1 polynomial term is skipped at
-# eps1 = 0, so a poly-1 variant there runs exactly the arithmetic of its base.
-# The keypoint and graded kernels run on the gathered positive pixels and
-# return new arrays; the background kernel runs on the whole grid and writes
-# into the step's buffers.
-
-
-def _keypoint_branch(
-    q: np.ndarray, gamma: float, eps1: float, with_grad: bool
+def _poly1(
+    d: np.ndarray, c: np.ndarray | None, log_c: np.ndarray, gamma: float,
+    log_w: np.ndarray | None, poly_w: float | np.ndarray | None, with_grad: bool,
+    where: bool | np.ndarray = True, pg: np.ndarray | None = None, term: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """``(1-q)^g ln q - eps1 (1-q)^(g+1)`` and, if ``with_grad``, its derivative in ``q``."""
-    u = 1.0 - q
-    pg = np.power(u, gamma)
-    log_q = np.log(q)
-    term = pg * log_q
-    if eps1 != 0.0:
-        term -= eps1 * pg * u
-    if not with_grad:
-        return term, None
-    grad = pg * (1.0 / q - gamma * log_q / u)
-    if eps1 != 0.0:
-        grad += eps1 * (gamma + 1.0) * pg
-    return term, grad
+    """``log_w d^g ln c - poly_w d^(g+1)`` and, if ``with_grad``, its derivative in ``d``.
 
-
-def _background_branch(
-    q: np.ndarray,
-    gamma: float,
-    eps1: float,
-    pg: np.ndarray,
-    log_u: np.ndarray,
-    term: np.ndarray,
-    grad: np.ndarray | None,
-) -> None:
-    """``q^g ln(1-q) - eps1 q^(g+1)`` into ``term``, and its derivative in ``q`` into ``grad``.
-
-    ``pg`` and ``log_u`` are scratch buffers shaped like ``q``; a ``grad`` of
-    None skips the derivative.  One ufunc at a time, in the operation order
-    of ``pg * (g ln(1-q) / q - 1 / (1-q))``.
+    ``d`` is a prediction error, ``c = 1 - d`` and ``log_c = ln c``; a
+    ``log_w`` of None means 1 and a ``poly_w`` of None means 0, so the
+    polynomial term is skipped.  The derivative is written into ``c`` and
+    ``log_c`` is scratch; ``c`` may be None without ``with_grad``.  ``pg``
+    and ``term`` are optional output buffers for ``d^g`` and the term.  The
+    derivative runs one ufunc at a time in the operation order of
+    ``log_w d^g (g ln c / d - 1 / c) - poly_w (g+1) d^g``, and ``where``
+    marks the pixels that divide by ``d``: the rest keep ``g ln c``.
     """
-    np.power(q, gamma, out=pg)
-    np.log1p(np.negative(q, out=log_u), out=log_u)
-    np.multiply(pg, log_u, out=term)
-    if grad is not None:
-        np.multiply(gamma, log_u, out=log_u)
-        np.divide(log_u, q, out=log_u)
-        np.subtract(1.0, q, out=grad)
-        np.divide(1.0, grad, out=grad)
-        np.subtract(log_u, grad, out=grad)
-        np.multiply(pg, grad, out=grad)
-    if eps1 != 0.0:
-        np.multiply(eps1, pg, out=log_u)
-        np.multiply(log_u, q, out=log_u)
-        np.subtract(term, log_u, out=term)
-        if grad is not None:
-            np.multiply(eps1 * (gamma + 1.0), pg, out=log_u)
-            np.subtract(grad, log_u, out=grad)
-
-
-def _graded_branch(
-    q: np.ndarray,
-    heat: np.ndarray,
-    pb: np.ndarray,
-    gamma: float,
-    clamp: float,
-    eps1: float,
-    with_grad: bool,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """``w dp^g ln(1-dp) - eps1 p^b dp^(g+1)`` and, if ``with_grad``, its derivative in ``q``.
-
-    ``dp = |p - q|`` is capped below ``1 - clamp``, and ``pb = p^b``.
-    ``w = (1 - eps1) p^b + eps1`` moves the ``p^b`` weight from the log term
-    (eps1 = 0, the mask focal loss) onto the polynomial term (eps1 = 1, the
-    unit-coefficient poly-1 form).
-    """
-    diff = q - heat
-    dp = np.minimum(np.abs(diff), 1.0 - clamp)
-    pg = np.power(dp, gamma)
-    log_v = np.log1p(-dp)
-    term = pg * log_v
-    if eps1 == 0.0:
-        term *= pb
-    else:
-        w = (1.0 - eps1) * pb + eps1
-        term = w * term - eps1 * pb * pg * dp
-    if not with_grad:
-        return term, None
-    # dp^(g-1) = pg / dp; at the dp = 0 kink sign(diff) = 0 below is the chosen
-    # subgradient, and dividing by 1 there keeps 0 / 0 out of it.
-    grad = gamma * pg / np.where(dp == 0.0, 1.0, dp) * log_v - pg / (1.0 - dp)
-    if eps1 == 0.0:
-        grad *= pb
-    else:
-        grad = w * grad - eps1 * (gamma + 1.0) * pb * pg
-    grad *= np.sign(diff)
+    pg = np.power(d, gamma, out=pg)
+    term = np.multiply(pg, log_c, out=term)
+    if log_w is not None:
+        term *= log_w
+    grad = None
+    if with_grad:
+        np.multiply(gamma, log_c, out=log_c)
+        np.divide(log_c, d, out=log_c, where=where)
+        np.divide(1.0, c, out=c)
+        grad = np.subtract(log_c, c, out=c)
+        grad *= pg
+        if log_w is not None:
+            grad *= log_w
+    if poly_w is not None:
+        np.multiply(poly_w, pg, out=log_c)
+        log_c *= d
+        term -= log_c
+        if with_grad:
+            np.multiply(poly_w * (gamma + 1.0), pg, out=log_c)
+            grad -= log_c
     return term, grad
 
 
@@ -280,10 +222,13 @@ class LossStep:
 
     Preparing does, once, the work that does not depend on the prediction:
     it checks the heatmap against the variant, gathers the positive pixels
-    and their heatmap values, computes the constant ``p^b`` or ``(1 - p)^b``
-    weight, and allocates the grid-sized buffers that every evaluation
-    writes into.  A fit prepares one step and evaluates it on every
-    iteration.  The buffers make a step unsafe to share between threads.
+    and their heatmap values, computes the constant graded weights or the
+    ``(1 - p)^b`` background weight, and allocates the grid-sized buffers
+    that every evaluation writes into.  Each evaluation runs the one poly-1
+    kernel on the background error ``q`` and on the positive error, ``1 - q``
+    at a keypoint or ``|q - p|`` against a graded value.  A fit prepares one
+    step and evaluates it on every iteration.  The buffers make a step
+    unsafe to share between threads.
     """
 
     def __init__(self, heatmap: Grid, cfg: LossConfig, shape: tuple[int, ...], scale: float | np.ndarray) -> None:
@@ -298,15 +243,19 @@ class LossStep:
                 f"{variant.value} requires a binary heatmap ground truth (values in {{0, 1}})"
             )
         self._cfg = cfg
-        self._eps1 = cfg.eps1 if variant in _POLY_VARIANTS else 0.0
+        eps1 = cfg.eps1 if variant in _POLY_VARIANTS else 0.0
         self._graded = variant in _MASK_VARIANTS
         pos = heat > 0.0 if self._graded else heat == 1.0
         self._pos = np.flatnonzero(pos)
         self._heat_pos = heat.ravel()[self._pos]
-        self._pos_weight = np.power(self._heat_pos, cfg.beta) if self._graded else None
-        self._neg_weight = (
-            np.power(1.0 - heat, cfg.beta) if variant in _WEIGHTED_NEG_VARIANTS else None
-        )
+        self._eps1 = eps1 or None  # the polynomial weight; eps1 = 0 skips the polynomial term
+        if self._graded:
+            # (log_w, poly_w): p^b moves from the log term (eps1 = 0) onto the polynomial term (eps1 = 1)
+            pb = np.power(self._heat_pos, cfg.beta)
+            self._pos_weights = ((1.0 - eps1) * pb + eps1, eps1 * pb if eps1 else None)
+        else:
+            self._pos_weights = (None, self._eps1)
+        self._neg_weight = np.power(1.0 - heat, cfg.beta) if variant in _WEIGHTED_NEG_VARIANTS else None
         self.scale = scale
         self._rows = (-1, heat.size)
         self._q, self._pg, self._scratch, self._term, self._grad = (np.empty(shape) for _ in range(5))
@@ -320,28 +269,31 @@ class LossStep:
         ``with_grad`` the gradient, its scaling and the clamp gate are
         skipped and the gradient is None; the terms are the same.
         """
-        if preds.size and not (preds.min() >= 0.0 and preds.max() <= 1.0):
-            raise ValidationError("prediction values must be finite and lie in [0, 1]")
-        cfg, q, term = self._cfg, self._q, self._term
-        grad = self._grad if with_grad else None
+        cfg, q = self._cfg, self._q
         lo, hi = cfg.clamp, 1.0 - cfg.clamp
         np.clip(preds, lo, hi, out=q)
-        _background_branch(q, cfg.gamma, self._eps1, self._pg, self._scratch, term, grad)
+        # background: d = q against the target 0
+        c = np.subtract(1.0, q, out=self._grad) if with_grad else None
+        log_c = np.log1p(np.negative(q, out=self._scratch), out=self._scratch)
+        term, grad = _poly1(q, c, log_c, cfg.gamma, None, self._eps1, with_grad, pg=self._pg, term=self._term)
         if self._neg_weight is not None:
             term *= self._neg_weight
             if with_grad:
                 grad *= self._neg_weight
+        # positives: d = 1 - q against a keypoint, or |q - p| against a graded heatmap value p
         q_pos = q.reshape(self._rows)[:, self._pos]
         if self._graded:
-            pos_term, pos_grad = _graded_branch(
-                q_pos, self._heat_pos, self._pos_weight, cfg.gamma, cfg.clamp, self._eps1, with_grad
-            )
+            diff = q_pos - self._heat_pos
+            d = np.minimum(np.abs(diff), hi)
+            # at the d = 0 kink sign(diff) = 0 is the chosen subgradient; `where` keeps 0 / 0 out of it
+            c, log_c, sign, where = 1.0 - d, np.log1p(-d), np.sign(diff), d != 0.0
         else:
-            pos_term, pos_grad = _keypoint_branch(q_pos, cfg.gamma, self._eps1, with_grad)
+            d, c, log_c, sign, where = 1.0 - q_pos, q_pos, np.log(q_pos), -1.0, True
+        pos_term, pos_grad = _poly1(d, c, log_c, cfg.gamma, *self._pos_weights, with_grad, where)
         term.reshape(self._rows)[:, self._pos] = pos_term
         if not with_grad:
             return term, None
-        grad.reshape(self._rows)[:, self._pos] = pos_grad
+        grad.reshape(self._rows)[:, self._pos] = pos_grad * sign
         grad *= self.scale
         np.greater(preds, lo, out=self._inside)
         self._inside &= np.less(preds, hi, out=self._below)
@@ -356,12 +308,15 @@ def loss_with_grad(pred: Grid, gt: GroundTruthBundle, cfg: LossConfig) -> LossRe
     value (step 1e-6) to 1e-6 relative at clamp-interior predictions.
     """
     step = LossStep(gt.heatmap, cfg, pred.shape, _loss_scale(cfg, gt.n_objects))
+    _check_preds(pred.values)
     with np.errstate(all="ignore"):
         term, grad = step.terms(pred.values)
         total = float(term.sum())  # one pairwise sum over the row-major pixels
         value = step.scale * total
     if not (math.isfinite(grad.min()) and math.isfinite(grad.max())):
-        raise ValidationError("loss gradient is non-finite; alpha or eps1 is likely too large")
+        raise ValidationError(
+            "loss gradient is non-finite; alpha, eps1 or gamma is likely too large, or clamp is at or below 2**-54"
+        )
     degenerate = gt.n_objects == 0 and cfg.variant is not LossVariant.FOCAL_SCALAR
     return LossResult(value=value, grad=Grid(grad), degenerate_n=degenerate)
 
@@ -373,7 +328,15 @@ def batched_loss_values(preds: np.ndarray, gt: GroundTruthBundle, cfg: LossConfi
     bit; used for parameter sweeps and finite-difference verification.
     """
     preds = np.asarray(preds, dtype=np.float64)
-    return _loss_values(LossStep(gt.heatmap, cfg, preds.shape, _loss_scale(cfg, gt.n_objects)), preds)
+    step = LossStep(gt.heatmap, cfg, preds.shape, _loss_scale(cfg, gt.n_objects))
+    _check_preds(preds)
+    return _loss_values(step, preds)
+
+
+def _check_preds(preds: np.ndarray) -> None:
+    """Reject predictions outside ``[0, 1]`` or non-finite; a fit's own sigmoid needs no check."""
+    if preds.size and not (preds.min() >= 0.0 and preds.max() <= 1.0):
+        raise ValidationError("prediction values must be finite and lie in [0, 1]")
 
 
 def _loss_values(step: LossStep, preds: np.ndarray) -> np.ndarray:

@@ -17,9 +17,12 @@ from hypothesis.extra.numpy import arrays
 from heatloss import (
     BoxAnnotation,
     Grid,
+    GroundTruthBundle,
+    LossConfig,
     SceneAnnotation,
     SchemaError,
     SigmaParams,
+    ValidationError,
     loss_with_grad,
     read_grid,
     read_grid_csv,
@@ -501,6 +504,34 @@ class TestGradientOverflow:
         assert payload["error"] == "VALIDATION_ERROR" and message in payload["message"]
         assert not (tmp_path / "r.json").exists()
         assert not (tmp_path / "g.grid").exists()
+
+    @pytest.mark.parametrize("loss,pred", [
+        # q^gamma underflows to 0 while gamma ln(1 - q) overflows to -inf at the background 0.9
+        ({"variant": "HEATMAP_FOCAL", "gamma": 1e308}, [[0.9999, 0.9]]),
+        # FOCAL_SCALAR has neither alpha nor eps1
+        ({"variant": "FOCAL_SCALAR", "gamma": 1e308}, [[0.9999, 0.9]]),
+        # 1 - clamp rounds to 1, so a background prediction of 1 stays 1 after the clamp
+        ({"variant": "ALPHA_FOCAL", "clamp": 1e-300}, [[0.5, 1.0]]),
+    ], ids=["gamma", "gamma-focal-scalar", "clamp"])
+    def test_non_finite_gradient_message_names_gamma_and_clamp(self, tmp_path, capsys, loss, pred):
+        heat_values = np.array([[1.0, 0.0]])
+        with pytest.raises(ValidationError) as caught:
+            loss_with_grad(Grid(np.array(pred)), GroundTruthBundle(Grid(heat_values), 1), LossConfig(**loss))
+        heat, pred_path, cfg = tmp_path / "heat.grid", tmp_path / "pred.grid", tmp_path / "loss.json"
+        write_grid(Grid(heat_values), heat)
+        write_grid(Grid(np.array(pred)), pred_path)
+        cfg.write_text(json.dumps(loss))
+        code, out, err = run_cli(
+            capsys, "eval-loss", "--pred", str(pred_path), "--heatmap", str(heat),
+            "--n-objects", "1", "--loss-config", str(cfg),
+            "--report-out", str(tmp_path / "r.json"), "--grad-out", str(tmp_path / "g.grid"),
+        )
+        payload = error_payload(err)
+        assert code == 4 and out == "" and payload["error"] == "VALIDATION_ERROR"
+        for message in (str(caught.value), payload["message"]):
+            assert message.startswith("loss gradient is non-finite")
+            assert "gamma" in message and "clamp is at or below 2**-54" in message
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "g.grid").exists()
 
 
 class TestGradCheckCommand:

@@ -90,7 +90,13 @@ def test_every_variant_is_focal_loss_on_binary_ground_truth(variant, shape, seed
         total *= cfg.alpha / max(gt.n_objects, 1)
     # the mask variants take ln(1 - |1 - q|), which keeps about ulp(1) / clamp
     # less relative precision than ln q at q = clamp
-    assert loss_with_grad(Grid(values), gt, cfg).value == pytest.approx(total, rel=1e-9, abs=1e-300)
+    result = loss_with_grad(Grid(values), gt, cfg)
+    assert result.value == pytest.approx(total, rel=1e-9, abs=1e-300)
+    # mask reduces to heatmap on keypoint masks, gradient included
+    base = {LossVariant.MASK_FOCAL: LossVariant.HEATMAP_FOCAL, LossVariant.MASK_FOCAL_POLY1: LossVariant.POLY1_PIXELWISE}
+    if variant in base:
+        base_grad = loss_with_grad(Grid(values), gt, replace(cfg, variant=base[variant])).grad.values
+        np.testing.assert_allclose(result.grad.values, base_grad, rtol=1e-12, atol=0)
 
 
 @PROPERTY
