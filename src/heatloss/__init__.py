@@ -38,7 +38,6 @@ from .losses import (
 from .counting import (
     CountReport,
     Peak,
-    PeakSet,
     compute_metrics,
     count_image,
     extract_peaks,
@@ -73,7 +72,6 @@ __all__ = [
     "LossVariant",
     "NonFiniteLossError",
     "Peak",
-    "PeakSet",
     "PlacementError",
     "ScalarSample",
     "SceneAnnotation",

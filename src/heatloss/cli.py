@@ -22,7 +22,7 @@ import numpy as np
 from . import serialization as ser
 from .counting import DEFAULT_THRESHOLD, DEFAULT_WINDOW, compute_metrics, extract_peaks
 from .errors import HeatlossError, SchemaError, ValidationError
-from .grid import Grid, read_grid, read_grid_csv, write_grid, write_grid_csv
+from .grid import Grid, _check_addressable, read_grid, read_grid_csv, write_grid, write_grid_csv
 from .ground_truth import SigmaParams, interpolate_boxes, render_heatmap, render_mask
 from .ground_truth import SceneAnnotation
 from .losses import _BINARY_GT_VARIANTS, _MASK_VARIANTS, GroundTruthBundle, LossConfig, LossVariant
@@ -98,6 +98,8 @@ def _cmd_eval_loss(args: argparse.Namespace) -> int:
     cfg = ser.load_loss_config(args.loss_config)
     bundle = GroundTruthBundle(heatmap=heat, n_objects=args.n_objects)
     result = loss_with_grad(pred, bundle, cfg)
+    if not np.isfinite(result.value):
+        raise ValidationError("the loss sum overflows to a non-finite value; alpha, eps1 or gamma is likely too large")
     _write_grid_auto(result.grad, args.grad_out)
     ser.dump_loss_report(result.value, args.grad_out, args.report_out, result.degenerate_n)
     return 0
@@ -139,6 +141,7 @@ def max_grad_deviation(variant: LossVariant, size: int, instances: int, seed: in
     """Max relative deviation between analytic gradients and central differences."""
     if size < 1 or instances < 1 or seed < 0:
         raise ValidationError(f"need size >= 1, instances >= 1, seed >= 0; got {size}, {instances}, {seed}")
+    _check_addressable(size, size)
     n, worst, rng = size * size, 0.0, np.random.default_rng(seed)
     for _ in range(instances):
         pred, bundle, cfg = random_instance(variant, rng, size)
@@ -149,7 +152,7 @@ def max_grad_deviation(variant: LossVariant, size: int, instances: int, seed: in
             k = min(_FD_BLOCK, n - start)
             # one-hot rows start..start+k-1; the last block's rows past n are zero, unperturbed padding
             eye = np.eye(_FD_BLOCK, n, start).reshape(_FD_BLOCK, size, size)
-            values = _loss_values(loss_step, np.concatenate([pred.values + step * eye, pred.values - step * eye]))
+            values = _loss_values(loss_step, np.concatenate([pred.values + step * eye, pred.values - step * eye]))[0]
             fd[start : start + k] = (values[:k] - values[_FD_BLOCK : _FD_BLOCK + k]) / (2.0 * step)
         deviation = np.abs(grad - fd) / (1.0 + np.abs(grad))
         worst = max(worst, float(deviation.max()))

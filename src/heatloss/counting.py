@@ -2,7 +2,7 @@
 
 A detection is a pixel whose value equals the maximum of its
 ``window x window`` neighborhood (truncated at grid edges) and clears a
-confidence threshold; the number of peaks is the predicted count.
+confidence threshold; the length of the peak tuple is the predicted count.
 
 A plateau (maximal 8-connected equal-value region, possibly running through
 non-candidates) yields one peak, its least (y, x) candidate.  Plateaus are
@@ -36,16 +36,6 @@ class Peak:
     x: int
     y: int
     score: float
-
-
-@dataclass(frozen=True)
-class PeakSet:
-    """Detected peaks, ordered by (y, x)."""
-
-    peaks: tuple[Peak, ...]
-
-    def __len__(self) -> int:
-        return len(self.peaks)
 
 
 @dataclass(frozen=True)
@@ -163,17 +153,17 @@ def _peak_indices(heatmap: Grid, window: int, threshold: float) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def extract_peaks(heatmap: Grid, window: int = DEFAULT_WINDOW, threshold: float = DEFAULT_THRESHOLD) -> PeakSet:
-    """Select pixels that are neighborhood maxima at or above ``threshold``.
+def extract_peaks(heatmap: Grid, window: int = DEFAULT_WINDOW, threshold: float = DEFAULT_THRESHOLD) -> tuple[Peak, ...]:
+    """The tuple of pixels that are neighborhood maxima at or above ``threshold``, in (y, x) order.
 
     Edge neighborhoods are truncated.  A qualifying plateau (maximal
     8-connected equal-value region) keeps only its smallest (y, x) candidate.
     """
     values, w = heatmap.values, heatmap.width
-    return PeakSet(tuple(
+    return tuple(
         Peak(x=int(i % w), y=int(i // w), score=float(values.flat[i]))
         for i in _peak_indices(heatmap, window, threshold)
-    ))
+    )
 
 
 def count_image(heatmap: Grid, window: int = DEFAULT_WINDOW, threshold: float = DEFAULT_THRESHOLD) -> int:
@@ -193,7 +183,7 @@ def compute_metrics(per_image: list[tuple[int, int]]) -> CountReport:
 
 
 def match_localizations(
-    peaks: PeakSet, scene: SceneAnnotation, radius_factor: float = 0.5
+    peaks: tuple[Peak, ...], scene: SceneAnnotation, radius_factor: float = 0.5
 ) -> tuple[int, int, int]:
     """Greedy nearest-first matching of peaks to annotated box centers.
 
@@ -207,17 +197,17 @@ def match_localizations(
     candidates = []
     for bi, box in enumerate(scene.boxes):
         radius = radius_factor * min(box.w, box.h)
-        for pi, peak in enumerate(peaks.peaks):
+        for pi, peak in enumerate(peaks):
             dist = math.hypot(peak.x - box.cx, peak.y - box.cy)
             if dist <= radius:
                 candidates.append((dist, bi, pi))
     candidates.sort()
     box_taken = [False] * len(scene.boxes)
-    peak_taken = [False] * len(peaks.peaks)
+    peak_taken = [False] * len(peaks)
     matched = 0
     for _, bi, pi in candidates:
         if not box_taken[bi] and not peak_taken[pi]:
             box_taken[bi] = True
             peak_taken[pi] = True
             matched += 1
-    return matched, len(scene.boxes) - matched, len(peaks.peaks) - matched
+    return matched, len(scene.boxes) - matched, len(peaks) - matched

@@ -63,6 +63,12 @@ class Grid:
         return bool(((v == 0.0) | (v == 1.0)).all())
 
 
+def _check_addressable(height: int, width: int) -> None:
+    """Reject a grid whose float64 values numpy cannot address."""
+    if height * width > np.iinfo(np.intp).max // 8:
+        raise ValidationError(f"a {width}x{height} grid is too large: numpy cannot address its float64 values")
+
+
 def write_grid(grid: Grid, path: str | Path) -> None:
     """Write ``grid`` in the binary format (header + little-endian float32)."""
     with np.errstate(over="ignore"):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .grid import Grid
+from .grid import Grid, _check_addressable
 
 TILE = 16  # side of the square pixel tiles render_heatmap culls boxes on
 
@@ -116,7 +116,9 @@ def compute_sigma(box: BoxAnnotation, params: SigmaParams) -> float:
 def _output_shape(scene: SceneAnnotation, stride: int) -> tuple[int, int]:
     if stride < 1:
         raise ValidationError(f"stride must be >= 1, got {stride}")
-    return -(-scene.height // stride), -(-scene.width // stride)
+    shape = -(-scene.height // stride), -(-scene.width // stride)
+    _check_addressable(*shape)
+    return shape
 
 
 def _axis_bounds(centres: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -45,12 +45,12 @@ heatmap value, a step also serves a grid of pixel *classes*: a fit prepares
 one step for all its scenes on a ``(1, U)`` grid that holds each scene's
 distinct heatmap values one after another, with one scale per class, and
 sums each scene's class terms gathered back onto its grid.
-:func:`loss_with_grad` and :func:`batched_loss_values` (value-only, one sum
-per flattened grid) prepare one step per call and check that the
-predictions lie in ``[0, 1]``; a fit's predictions are its own sigmoid.
-Like the fit, they evaluate and sum under one ``np.errstate(all="ignore")``
-and check finiteness themselves; the kernel and ``terms`` run under their
-caller's error state.
+:func:`loss_with_grad` and :func:`batched_loss_values` (value-only) prepare
+one step per call for ``_loss_values``, the one evaluation outside the fit:
+it checks that the predictions lie in ``[0, 1]`` (a fit's are its own
+sigmoid) and, like the fit, evaluates and sums, one pairwise sum per
+flattened grid, under one ``np.errstate(all="ignore")``.  Callers check
+finiteness; the kernel and ``terms`` run under their caller's error state.
 """
 
 from __future__ import annotations
@@ -226,9 +226,9 @@ class LossStep:
     ``(1 - p)^b`` background weight, and allocates the grid-sized buffers
     that every evaluation writes into.  Each evaluation runs the one poly-1
     kernel on the background error ``q`` and on the positive error, ``1 - q``
-    at a keypoint or ``|q - p|`` against a graded value.  A fit prepares one
-    step and evaluates it on every iteration.  The buffers make a step
-    unsafe to share between threads.
+    at a keypoint or ``|q - p|`` against a graded value.  A fit evaluates its
+    one step on every iteration; ``_loss_values`` checks and evaluates every
+    other.  The buffers make a step unsafe to share between threads.
     """
 
     def __init__(self, heatmap: Grid, cfg: LossConfig, shape: tuple[int, ...], scale: float | np.ndarray) -> None:
@@ -308,17 +308,13 @@ def loss_with_grad(pred: Grid, gt: GroundTruthBundle, cfg: LossConfig) -> LossRe
     value (step 1e-6) to 1e-6 relative at clamp-interior predictions.
     """
     step = LossStep(gt.heatmap, cfg, pred.shape, _loss_scale(cfg, gt.n_objects))
-    _check_preds(pred.values)
-    with np.errstate(all="ignore"):
-        term, grad = step.terms(pred.values)
-        total = float(term.sum())  # one pairwise sum over the row-major pixels
-        value = step.scale * total
+    value, grad = _loss_values(step, pred.values, with_grad=True)
     if not (math.isfinite(grad.min()) and math.isfinite(grad.max())):
         raise ValidationError(
             "loss gradient is non-finite; alpha, eps1 or gamma is likely too large, or clamp is at or below 2**-54"
         )
     degenerate = gt.n_objects == 0 and cfg.variant is not LossVariant.FOCAL_SCALAR
-    return LossResult(value=value, grad=Grid(grad), degenerate_n=degenerate)
+    return LossResult(value=float(value), grad=Grid(grad), degenerate_n=degenerate)
 
 
 def batched_loss_values(preds: np.ndarray, gt: GroundTruthBundle, cfg: LossConfig) -> np.ndarray:
@@ -329,20 +325,18 @@ def batched_loss_values(preds: np.ndarray, gt: GroundTruthBundle, cfg: LossConfi
     """
     preds = np.asarray(preds, dtype=np.float64)
     step = LossStep(gt.heatmap, cfg, preds.shape, _loss_scale(cfg, gt.n_objects))
-    _check_preds(preds)
-    return _loss_values(step, preds)
+    return _loss_values(step, preds)[0]
 
 
-def _check_preds(preds: np.ndarray) -> None:
-    """Reject predictions outside ``[0, 1]`` or non-finite; a fit's own sigmoid needs no check."""
+def _loss_values(step: LossStep, preds: np.ndarray, with_grad: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """Each ``(H, W)`` slice's loss value (``preds`` has ``step``'s shape) and, if ``with_grad``, the gradient.
+
+    Rejects predictions outside ``[0, 1]`` or non-finite; a fit's own sigmoid needs no check.
+    """
     if preds.size and not (preds.min() >= 0.0 and preds.max() <= 1.0):
         raise ValidationError("prediction values must be finite and lie in [0, 1]")
-
-
-def _loss_values(step: LossStep, preds: np.ndarray) -> np.ndarray:
-    """The loss value of each ``(H, W)`` slice of ``preds``, which has ``step``'s shape."""
     with np.errstate(all="ignore"):
-        term = step.terms(preds, with_grad=False)[0]
-        # one pairwise sum per flattened grid, the sum loss_with_grad takes
+        term, grad = step.terms(preds, with_grad)
+        # one pairwise sum per flattened grid
         totals = term.reshape(preds.shape[:-2] + (preds.shape[-2] * preds.shape[-1],)).sum(axis=-1)
-        return step.scale * totals
+        return step.scale * totals, grad

@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .counting import CountReport, PeakSet
+from .counting import CountReport, Peak
 from .errors import SchemaError
 from .ground_truth import AnchorSet, BoxAnnotation, SceneAnnotation, SigmaParams
 from .losses import LossConfig
@@ -128,11 +128,11 @@ def dump_loss_report(value: float, grad_file: str, path: str | Path, degenerate_
     Path(path).write_text(json.dumps(report, indent=2) + "\n")
 
 
-def peaks_to_obj(peaks: PeakSet) -> dict:
-    return {"peaks": [{"x": p.x, "y": p.y, "score": p.score} for p in peaks.peaks]}
+def peaks_to_obj(peaks: tuple[Peak, ...]) -> dict:
+    return {"peaks": [{"x": p.x, "y": p.y, "score": p.score} for p in peaks]}
 
 
-def dump_peaks(peaks: PeakSet, path: str | Path) -> None:
+def dump_peaks(peaks: tuple[Peak, ...], path: str | Path) -> None:
     Path(path).write_text(json.dumps(peaks_to_obj(peaks), indent=2) + "\n")
 
 

@@ -171,13 +171,8 @@ def generate_scene(params: SynthParams) -> SceneAnnotation:
     return SceneAnnotation(params.width, params.height, tuple(boxes))
 
 
-def supervision_bundle(
-    scene: SceneAnnotation,
-    sigma: SigmaParams,
-    variant: LossVariant,
-    stride: int = 1,
-) -> GroundTruthBundle:
-    """Render the ground-truth bundle a loss variant expects for ``scene``.
+def supervision_bundle(scene: SceneAnnotation, sigma: SigmaParams, variant: LossVariant) -> GroundTruthBundle:
+    """Render the ground-truth bundle a loss variant expects for ``scene``, at stride 1.
 
     Binary-label variants get the binary feature map as heatmap.  Mask
     variants get the heatmap truncated to box interiors (heatmap * mask),
@@ -185,10 +180,10 @@ def supervision_bundle(
     kernel can underflow to 0); keypoint variants get the untruncated heatmap.
     """
     if variant in _BINARY_GT_VARIANTS:
-        return GroundTruthBundle(render_binary_map(scene, stride), len(scene.boxes))
-    heat = render_heatmap(scene, sigma, stride)
+        return GroundTruthBundle(render_binary_map(scene), len(scene.boxes))
+    heat = render_heatmap(scene, sigma)
     if variant in _MASK_VARIANTS:
-        heat = Grid(heat.values * render_mask(scene, stride).values)
+        heat = Grid(heat.values * render_mask(scene).values)
     return GroundTruthBundle(heat, len(scene.boxes))
 
 

@@ -178,7 +178,7 @@ def _criterion_06_grids():
 def test_criterion_06_peak_extraction_oracle():
     mismatches = 0
     for values in _criterion_06_grids():
-        got = [(p.y, p.x) for p in extract_peaks(Grid(values), window=3, threshold=0.3).peaks]
+        got = [(p.y, p.x) for p in extract_peaks(Grid(values), window=3, threshold=0.3)]
         if got != brute_force_peaks(values, window=3, threshold=0.3):
             mismatches += 1
     _report(

@@ -12,7 +12,6 @@ from heatloss import (
     BoxAnnotation,
     Grid,
     Peak,
-    PeakSet,
     SceneAnnotation,
     SigmaParams,
     ValidationError,
@@ -60,7 +59,7 @@ class TestExtractPeaks:
         scene = SceneAnnotation(17, 17, (BoxAnnotation(8, 8, 5, 5),))
         heat = render_heatmap(scene, SigmaParams())
         peaks = extract_peaks(heat, window=3, threshold=0.3)
-        assert [(p.x, p.y, p.score) for p in peaks.peaks] == [(8, 8, 1.0)]
+        assert peaks == (Peak(x=8, y=8, score=1.0),) and type(peaks) is tuple
 
     def test_all_zero_grid_has_no_peaks(self):
         assert len(extract_peaks(Grid(np.zeros((6, 6))), 3, 0.3)) == 0
@@ -71,10 +70,10 @@ class TestExtractPeaks:
             values = rng.random((16, 16))
             got = extract_peaks(Grid(values), window=3, threshold=0.3)
             expected = brute_force_peaks(values, window=3, threshold=0.3)
-            assert [(p.y, p.x) for p in got.peaks] == expected
+            assert [(p.y, p.x) for p in got] == expected
         for values in tied_grids(np.random.default_rng(75)):
             got = extract_peaks(Grid(values), window=3, threshold=0.3)
-            assert [(p.y, p.x) for p in got.peaks] == brute_force_peaks(values, 3, 0.3)
+            assert [(p.y, p.x) for p in got] == brute_force_peaks(values, 3, 0.3)
             assert count_image(Grid(values), 3, 0.3) == len(got)  # counts without Peak objects
 
     def test_matches_brute_force_for_larger_windows(self):
@@ -82,17 +81,17 @@ class TestExtractPeaks:
         for window in (5, 7):
             values = rng.random((16, 16))
             got = extract_peaks(Grid(values), window=window, threshold=0.2)
-            assert [(p.y, p.x) for p in got.peaks] == brute_force_peaks(values, window, 0.2)
+            assert [(p.y, p.x) for p in got] == brute_force_peaks(values, window, 0.2)
         for window in (3, 5, 7):
             for values in tied_grids(np.random.default_rng(76 + window)):
                 got = extract_peaks(Grid(values), window=window, threshold=0.2)
-                assert [(p.y, p.x) for p in got.peaks] == brute_force_peaks(values, window, 0.2)
+                assert [(p.y, p.x) for p in got] == brute_force_peaks(values, window, 0.2)
 
     def test_plateau_keeps_lexicographically_smallest(self):
         values = np.zeros((4, 5))
         values[1, 1:4] = 0.8  # flat ridge: one plateau, one peak
         peaks = extract_peaks(Grid(values), 3, 0.3)
-        assert [(p.x, p.y) for p in peaks.peaks] == [(1, 1)]
+        assert [(p.x, p.y) for p in peaks] == [(1, 1)]
 
     def test_plateau_linked_through_non_candidates(self):
         # equal-valued row whose middle pixels are shadowed by a higher value
@@ -100,7 +99,7 @@ class TestExtractPeaks:
         values[0, :] = 0.5
         values[1, 2] = 0.6
         peaks = extract_peaks(Grid(values), 3, 0.3)
-        coords = [(p.x, p.y) for p in peaks.peaks]
+        coords = [(p.x, p.y) for p in peaks]
         assert (2, 1) in coords  # the isolated higher pixel
         assert coords.count((0, 0)) == 1 and (4, 0) not in coords
 
@@ -108,7 +107,7 @@ class TestExtractPeaks:
         values = np.zeros((3, 7))
         values[1, 1] = values[1, 5] = 0.9
         peaks = extract_peaks(Grid(values), 3, 0.5)
-        assert [(p.x, p.y) for p in peaks.peaks] == [(1, 1), (5, 1)]
+        assert [(p.x, p.y) for p in peaks] == [(1, 1), (5, 1)]
 
     def test_threshold_filters_low_maxima(self):
         values = np.zeros((5, 5))
@@ -120,14 +119,14 @@ class TestExtractPeaks:
         rng = np.random.default_rng(73)
         values = rng.random((12, 12))
         peaks = extract_peaks(Grid(values), 3, 0.4)
-        assert all(p.score >= 0.4 for p in peaks.peaks)
+        assert all(p.score >= 0.4 for p in peaks)
 
     def test_monotone_rescaling_preserves_peaks(self):
         rng = np.random.default_rng(74)
         values = rng.random((14, 14))
         base = extract_peaks(Grid(values), 3, 0.3)
         squared = extract_peaks(Grid(values**2), 3, 0.3**2)
-        assert [(p.x, p.y) for p in base.peaks] == [(p.x, p.y) for p in squared.peaks]
+        assert [(p.x, p.y) for p in base] == [(p.x, p.y) for p in squared]
 
     def test_huge_window_equals_the_whole_grid_window(self):
         g = Grid(np.random.default_rng(79).integers(0, 5, (5, 9)) / 4.0)
@@ -158,7 +157,7 @@ class TestExtractPeaks:
 def test_plateau_labelling_equals_brute_force(values, window, threshold):
     """Quantized grids (k/3, k/4) are full of plateaus of every shape."""
     got = extract_peaks(Grid(values), window, threshold)
-    assert [(p.y, p.x) for p in got.peaks] == brute_force_peaks(values, window, threshold)
+    assert [(p.y, p.x) for p in got] == brute_force_peaks(values, window, threshold)
     assert count_image(Grid(values), window, threshold) == len(got)
 
 
@@ -180,7 +179,7 @@ def test_large_windows_equal_brute_force(seed, levels, window, threshold):
     rng = np.random.default_rng(seed)
     values = rng.integers(0, levels + 1, rng.integers(1, 41, 2)) / levels
     got = extract_peaks(Grid(values), window, threshold)
-    assert [(p.y, p.x) for p in got.peaks] == brute_force_peaks(values, window, threshold)
+    assert [(p.y, p.x) for p in got] == brute_force_peaks(values, window, threshold)
 
 
 class TestPlateauShapes:
@@ -188,7 +187,7 @@ class TestPlateauShapes:
 
     @staticmethod
     def coords(values):
-        return [(p.y, p.x) for p in extract_peaks(Grid(values), 3, 0.3).peaks]
+        return [(p.y, p.x) for p in extract_peaks(Grid(values), 3, 0.3)]
 
     @pytest.mark.parametrize("values", [serpentine(63, 64), serpentine(64, 9), spiral(64), spiral(9)])
     def test_winding_plateau_has_one_peak_at_its_least_index(self, values):
@@ -283,19 +282,19 @@ class TestMatchLocalizations:
     )
 
     def test_exact_peaks_match_everything(self):
-        peaks = PeakSet(tuple(Peak(int(b.cx), int(b.cy), 1.0) for b in self.scene.boxes))
+        peaks = tuple(Peak(int(b.cx), int(b.cy), 1.0) for b in self.scene.boxes)
         assert match_localizations(peaks, self.scene, 0.5) == (3, 0, 0)
 
     def test_no_peaks_all_missed(self):
-        assert match_localizations(PeakSet(()), self.scene, 0.5) == (0, 3, 0)
+        assert match_localizations((), self.scene, 0.5) == (0, 3, 0)
 
     def test_distant_peaks_are_spurious(self):
-        peaks = PeakSet((Peak(0, 63, 0.9), Peak(63, 63, 0.9)))
+        peaks = (Peak(0, 63, 0.9), Peak(63, 63, 0.9))
         assert match_localizations(peaks, self.scene, 0.5) == (0, 3, 2)
 
     def test_single_peak_between_two_boxes_matches_once(self):
         scene = SceneAnnotation(64, 64, (BoxAnnotation(10, 10, 30, 30), BoxAnnotation(20, 10, 30, 30)))
-        peaks = PeakSet((Peak(15, 10, 1.0),))
+        peaks = (Peak(15, 10, 1.0),)
         matched, missed, spurious = match_localizations(peaks, scene, 0.5)
         assert (matched, missed, spurious) == (1, 1, 0)
 
@@ -310,10 +309,10 @@ class TestMatchLocalizations:
             )
             scene = SceneAnnotation(64, 64, boxes)
             n_peaks = int(rng.integers(0, 6))
-            peaks = PeakSet(tuple(
+            peaks = tuple(
                 Peak(int(rng.integers(0, 64)), int(rng.integers(0, 64)), float(rng.uniform(0.3, 1)))
                 for _ in range(n_peaks)
-            ))
+            )
             matched, missed, spurious = match_localizations(peaks, scene, 0.75)
             assert matched + missed == n_boxes
             assert matched + spurious == n_peaks

@@ -474,15 +474,19 @@ class TestGradientOverflow:
 
     POLY1 = {"variant": "POLY1_PIXELWISE", "alpha": 6e307, "gamma": 0.0, "eps1": 1.0}
 
-    @pytest.mark.parametrize("command,loss,message", [
-        ("fit", POLY1, "loss gradient became non-finite at step 1"),
-        ("eval-loss", POLY1, "loss gradient is non-finite"),
-        ("eval-loss", {"variant": "HEATMAP_FOCAL", "alpha": 1e300}, "float32 range of the grid format"),
+    SUM_OVERFLOW = "the loss sum overflows to a non-finite value; alpha, eps1 or gamma is likely too large"
+
+    @pytest.mark.parametrize("command,loss,message,grids", [
+        ("fit", POLY1, "loss gradient became non-finite at step 1", None),
+        ("eval-loss", POLY1, "loss gradient is non-finite", None),
+        ("eval-loss", {"variant": "HEATMAP_FOCAL", "alpha": 1e300}, "float32 range of the grid format", None),
         # every term is finite, but their sum overflows float64
-        ("eval-loss", {"variant": "POLY1_PIXELWISE", "gamma": 0.0, "eps1": 1e308},
-         "float32 range of the grid format"),
-    ], ids=["fit", "eval-loss", "eval-loss-float32", "eval-loss-sum"])
-    def test_validation_error_without_runtime_warning(self, tmp_path, command, loss, message):
+        ("eval-loss", {"variant": "POLY1_PIXELWISE", "gamma": 0.0, "eps1": 1e308}, SUM_OVERFLOW, None),
+        # every pixel sits on the clamp, so the gradient is 0, but 1600 terms of about -1e306 overflow their sum
+        ("eval-loss", {"variant": "POLY1_PIXELWISE", "eps1": 1e306, "gamma": 0.0}, SUM_OVERFLOW,
+         (np.ones((40, 40)), np.zeros((40, 40)))),
+    ], ids=["fit", "eval-loss", "eval-loss-float32", "eval-loss-sum", "eval-loss-sum-zero-gradient"])
+    def test_validation_error_without_runtime_warning(self, tmp_path, command, loss, message, grids):
         ann = tmp_path / "scene.json"
         scene = write_scene(ann, width=16, height=16, boxes=((5.0, 5.0, 6.0, 6.0),))
         cfg = tmp_path / "loss.json"
@@ -492,8 +496,11 @@ class TestGradientOverflow:
                     "--steps", "5", "--learning-rate", "1", "--seed", "1"]
         else:
             heat, pred = tmp_path / "heat.grid", tmp_path / "pred.grid"
-            write_grid(render_heatmap(scene, SigmaParams(eta=1.0, eps_sigma=3.0)), heat)
-            write_grid(Grid(np.full((16, 16), 0.5)), pred)
+            pred_values, heat_values = grids or (
+                np.full((16, 16), 0.5), render_heatmap(scene, SigmaParams(eta=1.0, eps_sigma=3.0)).values
+            )
+            write_grid(Grid(heat_values), heat)
+            write_grid(Grid(pred_values), pred)
             argv = ["eval-loss", "--pred", str(pred), "--heatmap", str(heat),
                     "--n-objects", "1", "--loss-config", str(cfg),
                     "--report-out", str(tmp_path / "r.json"), "--grad-out", str(tmp_path / "g.grid")]
@@ -532,6 +539,49 @@ class TestGradientOverflow:
             assert message.startswith("loss gradient is non-finite")
             assert "gamma" in message and "clamp is at or below 2**-54" in message
         assert not (tmp_path / "r.json").exists() and not (tmp_path / "g.grid").exists()
+
+
+class TestOversizedGrid:
+    """A grid whose float64 values numpy cannot address is a VALIDATION_ERROR naming its size.
+
+    Only 10**10 x 10**10 is tried: it is rejected before anything is allocated."""
+
+    SIDE = 10**10
+    MESSAGE = f"a {SIDE}x{SIDE} grid is too large: numpy cannot address its float64 values"
+
+    def _scene(self, tmp_path):
+        write_scene(tmp_path / "scene.json", width=self.SIDE, height=self.SIDE, boxes=((5.0, 5.0, 6.0, 6.0),))
+        return str(tmp_path / "scene.json")
+
+    def _fails(self, capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4 and out == ""
+        assert error_payload(err) == {"error": "VALIDATION_ERROR", "message": self.MESSAGE}
+
+    def test_render_gt(self, tmp_path, capsys):
+        self._fails(capsys, "render-gt", "--annotation", self._scene(tmp_path),
+                    "--heatmap-out", str(tmp_path / "h.grid"), "--mask-out", str(tmp_path / "m.grid"))
+        assert list(tmp_path.iterdir()) == [tmp_path / "scene.json"]
+
+    @pytest.mark.parametrize("variant", ["FOCAL_SCALAR", "ALPHA_FOCAL"])
+    def test_fit_and_experiment(self, tmp_path, capsys, variant):
+        scene = self._scene(tmp_path)
+        loss = tmp_path / "loss.json"
+        loss.write_text(json.dumps({"variant": variant}))
+        self._fails(capsys, "fit", "--annotation", scene, "--loss-config", str(loss),
+                    "--steps", "1", "--learning-rate", "1", "--seed", "1")
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({
+            "scenes": [{"file": "scene.json"}],
+            "variants": [{"variant": variant}],
+            "sigma": {"eta": 1.0, "eps_sigma": 3.0},
+            "fit": {"steps": 1, "learning_rate": 1.0},
+        }))
+        self._fails(capsys, "experiment", "--config", str(config), "--seed", "1", "--out", str(tmp_path / "r.json"))
+        assert not (tmp_path / "r.json").exists()
+
+    def test_grad_check(self, capsys):
+        self._fails(capsys, "grad-check", "--variant", "MASK_FOCAL", "--size", str(self.SIDE), "--seed", "1")
 
 
 class TestGradCheckCommand:

@@ -173,9 +173,8 @@ class TestSupervisionBundle:
         ),
         max_size=4,
     ),
-    stride=st.integers(1, 4),
 )
-def test_every_supervision_bundle_prepares_every_loss(width, height, boxes, stride):
+def test_every_supervision_bundle_prepares_every_loss(width, height, boxes):
     """Boxes up to 200 times longer than wide: the kernel underflows inside them."""
     scene = SceneAnnotation(
         width,
@@ -186,7 +185,7 @@ def test_every_supervision_bundle_prepares_every_loss(width, height, boxes, stri
         ),
     )
     for variant in LossVariant:
-        bundle = supervision_bundle(scene, SIGMA, variant, stride)
+        bundle = supervision_bundle(scene, SIGMA, variant)
         cfg = LossConfig(variant)
         LossStep(bundle.heatmap, cfg, bundle.heatmap.shape, _loss_scale(cfg, bundle.n_objects))
 
