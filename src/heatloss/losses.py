@@ -44,7 +44,8 @@ Because a pixel's term and gradient depend only on its prediction and
 heatmap value, a step also serves a grid of pixel *classes*: a fit prepares
 one step for all its scenes on a ``(1, U)`` grid that holds each scene's
 distinct heatmap values one after another, with one scale per class, and
-sums each scene's class terms gathered back onto its grid.
+takes each scene's loss on every step as the sum of its class terms
+weighted by their pixel counts.
 :func:`loss_with_grad` and :func:`batched_loss_values` (value-only) prepare
 one step per call for ``_loss_values``, the one evaluation outside the fit:
 it checks that the predictions lie in ``[0, 1]`` (a fit's are its own

@@ -189,8 +189,8 @@ def supervision_bundle(scene: SceneAnnotation, sigma: SigmaParams, variant: Loss
 
 def _class_vector(
     scene: SceneAnnotation, sigma: SigmaParams, cfg: FitConfig
-) -> tuple[np.ndarray, np.ndarray | slice, np.ndarray]:
-    """One scene's classes: the heatmap value of each, each pixel's class, the initial logits.
+) -> tuple[np.ndarray, np.ndarray | slice, np.ndarray, np.ndarray]:
+    """One scene's classes: the heatmap value and pixel count of each, each pixel's class, the initial logits.
 
     Under ``SEEDED_NOISE`` every pixel is its own class, and the identity
     view stands for the classes, so nothing is sorted or gathered; otherwise
@@ -198,10 +198,11 @@ def _class_vector(
     """
     heat = supervision_bundle(scene, sigma, cfg.loss.variant).heatmap.values.ravel()
     if cfg.init is InitMode.SEEDED_NOISE:
-        return heat, np.s_[:], 2.0 * _UniformStream(cfg.seed, _NOISE_STREAM).block(heat.size) - 1.0
+        noise = 2.0 * _UniformStream(cfg.seed, _NOISE_STREAM).block(heat.size) - 1.0
+        return heat, np.s_[:], np.ones(heat.size), noise
     # UNIFORM_HALF and ZEROS_LOGIT coincide: sigmoid(0) == 0.5 exactly
-    values, classes = np.unique(heat, return_inverse=True)
-    return values, classes, np.zeros(values.size)
+    values, classes, counts = np.unique(heat, return_inverse=True, return_counts=True)
+    return values, classes, counts.astype(np.float64), np.zeros(values.size)
 
 
 def _fit_batch(scenes: list[SceneAnnotation], sigma: SigmaParams, cfg: FitConfig) -> list[FitTrace]:
@@ -214,12 +215,11 @@ def _fit_batch(scenes: list[SceneAnnotation], sigma: SigmaParams, cfg: FitConfig
     logit per distinct heatmap value (a pixel class); under ``SEEDED_NOISE``
     every pixel is its own class.  The scenes' class vectors lie one after
     another (a segment each) in one ``(1, U)`` grid with one prepared loss,
-    whose scale is an array that gives each class its own scene's scale.  A
-    recorded loss is the scene's scale times the pairwise sum of its class
-    terms gathered back onto its grid, the very sum a whole-grid step takes.
-    An unrecorded step gathers the segments only when a bound cannot prove
-    every sum finite, so a non-finite loss is reported at the same step.
-    The logits are scattered back to each grid once, at the end.
+    whose scale is an array that gives each class its own scene's scale.  On
+    every step a scene's loss is its scale times the sum of its class terms
+    weighted by their pixel counts, all scenes' sums in one reduction: the
+    grid sum up to rounding, with no term gathered back onto a grid.  The
+    logits are scattered back to each grid once, at the end.
 
     A scene fails where its own fit would: in preparation, or at a step whose
     gradient, loss or logit update is not finite.  The loop stops at the
@@ -241,34 +241,27 @@ def _fit_batch(scenes: list[SceneAnnotation], sigma: SigmaParams, cfg: FitConfig
 
 def _fit_loop(scenes: list[SceneAnnotation], sigma: SigmaParams, cfg: FitConfig) -> list[FitTrace]:
     """The loop of :func:`_fit_batch`; it raises the first failure it meets, in any scene."""
-    segments = [_class_vector(scene, sigma, cfg) for scene in scenes]
-    starts = np.cumsum([0] + [heat.size for heat, _, _ in segments])  # segment j: starts[j]:starts[j + 1]
-    heat = np.concatenate([heat for heat, _, _ in segments])[None]
-    scales = [_loss_scale(cfg.loss, len(scene.boxes)) for scene in scenes]
+    heats, classes, counts, logits = zip(*(_class_vector(scene, sigma, cfg) for scene in scenes))
+    starts = np.cumsum([0] + [heat.size for heat in heats])  # segment j: starts[j]:starts[j + 1]
+    heat, counts, theta = (np.concatenate(parts)[None] for parts in (heats, counts, logits))
+    scales = np.array([_loss_scale(cfg.loss, len(scene.boxes)) for scene in scenes])
     loss_step = LossStep(Grid(heat), cfg.loss, heat.shape, np.repeat(scales, np.diff(starts)))
-    # The grid sum of n_px terms of magnitude at most `peak` is at most about
-    # peak * n_px.  So `peak * widest < 1e300`, with |scale| taken as at least 1,
-    # proves every scene's sum and scaled loss finite without gathering.
-    widest = max(s.width * s.height * max(1.0, abs(c)) for s, c in zip(scenes, scales))
-    theta = np.concatenate([logits for _, _, logits in segments])[None]
     pred, one_minus = np.empty_like(theta), np.empty_like(theta)
-    losses: list[list[tuple[int, float]]] = [[] for _ in segments]
+    losses: list[list[tuple[int, float]]] = [[] for _ in scenes]
     with np.errstate(all="ignore"):  # the checks below decide what is an error
         for step in range(1, cfg.steps + 1):
             term, grad = loss_step.terms(_expit_into(theta, pred))
             if not (math.isfinite(grad.min()) and math.isfinite(grad.max())):
                 raise ValidationError(f"loss gradient became non-finite at step {step}")
-            recorded = (step - 1) % cfg.record_every == 0
-            if recorded or not max(float(term.max()), -float(term.min())) * widest < 1e300:
-                for j, (_, classes, _) in enumerate(segments):
-                    value = scales[j] * float(term[0, starts[j] : starts[j + 1]][classes].sum())
-                    if not math.isfinite(value):
-                        raise NonFiniteLossError(
-                            f"loss became non-finite at step {step}; the learning rate "
-                            f"{cfg.learning_rate} is likely too large"
-                        )
-                    if recorded:
-                        losses[j].append((step, value))
+            # every scene's loss: its scale times the sum of its class terms weighted by their pixel counts
+            np.multiply(term, counts, out=term)
+            values = (scales * np.add.reduceat(term[0], starts[:-1])).tolist()
+            if not all(map(math.isfinite, values)):
+                cause = "alpha, eps1 or gamma" if step == 1 else f"the learning rate {cfg.learning_rate}"
+                raise NonFiniteLossError(f"loss became non-finite at step {step}; {cause} is likely too large")
+            if (step - 1) % cfg.record_every == 0:
+                for scene_losses, value in zip(losses, values):
+                    scene_losses.append((step, value))
             # theta -= lr * grad * pred * (1 - pred), in that order, in grad's buffer; overflow is trapped
             try:
                 with np.errstate(over="raise", invalid="raise"):
@@ -282,9 +275,9 @@ def _fit_loop(scenes: list[SceneAnnotation], sigma: SigmaParams, cfg: FitConfig)
                     f"{cfg.learning_rate} is too large"
                 ) from None
     traces = []
-    for j, (scene, (_, classes, _)) in enumerate(zip(scenes, segments)):
-        logits = theta[0, starts[j] : starts[j + 1]][classes]
-        final_pred = Grid(expit(logits.reshape(scene.height, scene.width)))
+    for j, (scene, scene_classes) in enumerate(zip(scenes, classes)):
+        scene_logits = theta[0, starts[j] : starts[j + 1]][scene_classes]
+        final_pred = Grid(expit(scene_logits.reshape(scene.height, scene.width)))
         traces.append(FitTrace(tuple(losses[j]), final_pred, count_image(final_pred), len(scene.boxes)))
     return traces
 
@@ -295,9 +288,11 @@ def fit_direct(scene: SceneAnnotation, sigma: SigmaParams, cfg: FitConfig) -> Fi
     The prediction is ``sigmoid(theta)``; each step applies
     ``theta -= lr * dL/dpred * pred * (1 - pred)``.  The loss is recorded at
     step 1 and every ``record_every`` steps thereafter, before the update, so
-    the first entry is the initialization loss.  A non-finite gradient
-    raises :class:`ValidationError`; a non-finite loss or logit update raises
-    :class:`NonFiniteLossError`, naming the step.
+    the first entry is the initialization loss.  The loss is the
+    count-weighted sum of the pixel classes' terms times the scale, taken on
+    every step.  A non-finite gradient raises :class:`ValidationError`; a
+    non-finite loss or logit update raises :class:`NonFiniteLossError`,
+    naming the step, and at step 1, before any update, the loss config.
 
     The fit is the one-scene case of the loop :func:`run_desk_experiment`
     runs over all its scenes: it fits one logit per pixel class, with one

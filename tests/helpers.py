@@ -21,6 +21,7 @@ from heatloss import (
     supervision_bundle,
 )
 from heatloss.cli import random_instance  # noqa: F401  (re-exported for the tests)
+from heatloss.losses import LossStep, _loss_scale
 from heatloss.synth import expit
 
 
@@ -96,13 +97,16 @@ def reference_scene(params: SynthParams) -> SceneAnnotation:
 
 def reference_fit(
     scene: SceneAnnotation, sigma: SigmaParams, cfg: FitConfig
-) -> tuple[tuple[tuple[int, float], ...], Grid, int]:
+) -> tuple[tuple[tuple[int, float], ...], Grid, int, tuple[float, ...]]:
     """The fitting loop built from public pieces, allocating on every step.
 
-    Returns the recorded losses, the final prediction and its peak count,
-    which ``fit_direct`` must reproduce exactly.  The noise initialization
-    follows the documented Philox derivation: key ``(seed, 2**32)``, the top
-    53 bits of each raw output scaled to [0, 1), mapped to [-1, 1).
+    Returns the recorded losses, the final prediction, its peak count and,
+    at each recorded step, the magnitude ``|scale| * sum(|term|)`` of the
+    loss's per-pixel terms.  ``fit_direct`` must reproduce the prediction and
+    count exactly, and each loss to within the rounding its summation order
+    allows against that magnitude.  The noise initialization follows the
+    documented Philox derivation: key ``(seed, 2**32)``, the top 53 bits of
+    each raw output scaled to [0, 1), mapped to [-1, 1).
     """
     bundle = supervision_bundle(scene, sigma, cfg.loss.variant)
     shape = bundle.heatmap.shape
@@ -112,7 +116,8 @@ def reference_fit(
         theta = 2.0 * uniform.reshape(shape) - 1.0
     else:
         theta = np.zeros(shape)
-    losses = []
+    scale = _loss_scale(cfg.loss, bundle.n_objects)
+    losses, magnitudes = [], []
     for step in range(1, cfg.steps + 1):
         pred = expit(theta)
         result = loss_with_grad(Grid(pred), bundle, cfg.loss)
@@ -120,6 +125,9 @@ def reference_fit(
             raise NonFiniteLossError(f"loss became non-finite at step {step}")
         if (step - 1) % cfg.record_every == 0:
             losses.append((step, result.value))
+            with np.errstate(all="ignore"):
+                term, _ = LossStep(bundle.heatmap, cfg.loss, shape, scale).terms(pred, with_grad=False)
+                magnitudes.append(abs(scale) * float(np.abs(term).sum()))
         theta -= cfg.learning_rate * result.grad.values * pred * (1.0 - pred)
     final = Grid(expit(theta))
-    return tuple(losses), final, count_image(final)
+    return tuple(losses), final, count_image(final), tuple(magnitudes)

@@ -221,10 +221,27 @@ CLASS_SCENES = {
 }
 
 
+def assert_losses_within_bound(scene, losses, reference, magnitudes):
+    """The same recorded steps, and each loss within ``(n_px + 1) 2**-52`` times its magnitude.
+
+    The fit sums each pixel class's term times its pixel count; the reference
+    sums the same terms pixel by pixel.  Whatever their order, two sums of at
+    most ``n_px`` rounded products, each times the same scale, differ by at
+    most about ``2 (n_px + 1) u |scale| sum(|term|)``, with ``u = 2**-53``.
+    Where every term has one sign (``eps1`` in [0, 1]) the magnitude is
+    ``|loss|``, a relative bound; where the terms may mix signs (``eps1``
+    below 0) it is the reference's ``|scale| sum(|term|)`` at that step.
+    """
+    assert [step for step, _ in losses] == [step for step, _ in reference]
+    rel = (scene.width * scene.height + 1) * 2.0**-52
+    for (_, value), (_, expected), magnitude in zip(losses, reference, magnitudes):
+        assert abs(value - expected) <= rel * magnitude
+
+
 def assert_matches_reference(scene, cfg):
     trace = fit_direct(scene, SIGMA, cfg)
-    losses, final_pred, final_count = reference_fit(scene, SIGMA, cfg)
-    assert trace.losses == losses
+    losses, final_pred, final_count, _ = reference_fit(scene, SIGMA, cfg)
+    assert_losses_within_bound(scene, trace.losses, losses, [abs(value) for _, value in losses])
     assert trace.final_pred.values.tobytes() == final_pred.values.tobytes()
     assert trace.final_count == final_count
 
@@ -283,8 +300,24 @@ class TestFitDirect:
             steps=5,
             learning_rate=1e6,
         )
-        with pytest.raises(NonFiniteLossError, match="learning rate"):
+        # no update runs before step 1, so the loss config is to blame, not the learning rate
+        message = "^loss became non-finite at step 1; alpha, eps1 or gamma is likely too large$"
+        with pytest.raises(NonFiniteLossError, match=message):
             fit_direct(scene, SIGMA, cfg)
+
+    def test_count_weight_overflows_where_no_class_term_does(self):
+        """An empty scene is one background class of term about -5e305 at 0.5, weighted by its pixel count."""
+        loss = LossConfig(LossVariant.POLY1_PIXELWISE, eps1=1e306, gamma=0.0)
+        cfg = FitConfig(loss=loss, steps=1, learning_rate=0.5)
+        small, large = SceneAnnotation(4, 4, ()), SceneAnnotation(40, 40, ())
+        message = "^loss became non-finite at step 1; alpha, eps1 or gamma is likely too large$"
+        with pytest.raises(NonFiniteLossError, match=message):
+            fit_direct(large, SIGMA, cfg)
+        with pytest.raises(NonFiniteLossError, match="at step 1$"):
+            reference_fit(large, SIGMA, cfg)
+        assert fit_direct(small, SIGMA, cfg).losses == ((1, 8e306),)
+        with pytest.raises(NonFiniteLossError, match=message):
+            _fit_batch([small, large], SIGMA, cfg)
 
     @pytest.mark.parametrize("every", [1, 5])
     def test_non_finite_loss_on_an_unrecorded_step_is_reported_there(self, every):
@@ -319,11 +352,7 @@ class TestFitDirect:
         height, width, heads = scene_shape
         scene = generate_scene(SynthParams(seed=11, width=width, height=height, n_heads=heads))
         cfg = FitConfig(loss=loss, steps=40, learning_rate=0.5, init=init, record_every=3, seed=5)
-        trace = fit_direct(scene, SIGMA, cfg)
-        losses, final_pred, final_count = reference_fit(scene, SIGMA, cfg)
-        assert trace.losses == losses
-        assert trace.final_pred.values.tobytes() == final_pred.values.tobytes()
-        assert trace.final_count == final_count
+        assert_matches_reference(scene, cfg)
 
     @pytest.mark.parametrize("every", [1, 7])
     @pytest.mark.parametrize("scene_name", list(CLASS_SCENES))
@@ -332,18 +361,24 @@ class TestFitDirect:
         cfg = FitConfig(loss=loss, steps=30, learning_rate=0.5, record_every=every)
         assert_matches_reference(CLASS_SCENES[scene_name], cfg)
 
+    # pairs of fits that must agree bit for bit: (init, record_every) against (other_init, 7)
+    @pytest.mark.parametrize("init,every,other_init", [
+        (InitMode.ZEROS_LOGIT, 7, InitMode.UNIFORM_HALF),
+        # a recorded loss does not depend on record_every: the first trace taken at steps 1, 8, 15, ...
+        *((init, 1, init) for init in InitMode),
+    ], ids=["zeros_logit_is_uniform_half", *(f"record_every_{m.value}" for m in InitMode)])
     @pytest.mark.parametrize("loss", REFERENCE_LOSSES, ids=lambda c: f"{c.variant.value}_eps1_{c.eps1}")
-    def test_zeros_logit_is_uniform_half_bit_for_bit(self, loss):
+    def test_equivalent_fits_are_bit_identical(self, loss, init, every, other_init):
         assert expit(np.zeros(1))[0] == 0.5
-        half, zeros = (
+        trace, other = (
             fit_direct(CLASS_SCENES["96x64_12_heads"], SIGMA, FitConfig(
-                loss=loss, steps=30, learning_rate=0.5, init=init, record_every=7
+                loss=loss, steps=30, learning_rate=0.5, init=fit_init, record_every=fit_every, seed=5
             ))
-            for init in (InitMode.UNIFORM_HALF, InitMode.ZEROS_LOGIT)
+            for fit_init, fit_every in ((init, every), (other_init, 7))
         )
-        assert half.losses == zeros.losses
-        assert half.final_pred.values.tobytes() == zeros.final_pred.values.tobytes()
-        assert half.final_count == zeros.final_count
+        assert trace.losses[:: 7 // every] == other.losses
+        assert trace.final_pred.values.tobytes() == other.final_pred.values.tobytes()
+        assert trace.final_count == other.final_count
 
     def test_recorded_losses_non_increasing_at_pinned_configuration(self):
         scene = generate_scene(
@@ -455,7 +490,7 @@ LATER_SCENE_FAILS_FIRST = {
         error_scene(2, 16),
         (NonFiniteLossError, "loss became non-finite at step 31; the learning rate 1e-308 is likely too large"),
         error_scene(0, 16),
-        (NonFiniteLossError, "loss became non-finite at step 1; the learning rate 1e-308 is likely too large"),
+        (NonFiniteLossError, "loss became non-finite at step 1; alpha, eps1 or gamma is likely too large"),
     ),
     "update_overflow": (
         LossConfig(LossVariant.POLY1_PIXELWISE, alpha=1e305, beta=0.5, gamma=0.0, eps1=-10.0),
@@ -520,8 +555,9 @@ def test_batch_equals_batch_of_one(shapes, fit, init, every, steps):
     batch = _fit_batch(scenes, SIGMA, cfg)
     assert len(batch) == len(scenes)
     for scene, trace, own in zip(scenes, batch, alone):
-        losses, final_pred, final_count = reference_fit(scene, SIGMA, cfg)
-        assert trace.losses == own.losses == losses
+        losses, final_pred, final_count, magnitudes = reference_fit(scene, SIGMA, cfg)
+        assert trace.losses == own.losses
+        assert_losses_within_bound(scene, trace.losses, losses, magnitudes)
         assert trace.final_pred.values.tobytes() == own.final_pred.values.tobytes() == final_pred.values.tobytes()
         assert trace.final_count == own.final_count == final_count
         assert trace.gt_count == len(scene.boxes)
