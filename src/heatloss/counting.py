@@ -6,11 +6,11 @@ confidence threshold; the length of the peak tuple is the predicted count.
 
 A plateau (maximal 8-connected equal-value region, possibly running through
 non-candidates) yields one peak, its least (y, x) candidate.  Plateaus are
-labelled in numpy over row runs (Rosenfeld and Pfaltz 1966), only on the
-pixels that share a value with a tied candidate: each run links to the
-equal-valued runs above it, and the links are merged by root hooking and
-pointer jumping (Shiloach and Vishkin 1982).  That is a few numpy passes
-over those pixels; no Python loop visits a pixel.
+labelled in numpy over row runs (Rosenfeld and Pfaltz 1966) on the pixels
+with an equal neighbor at or above the least tied candidate's value: each
+run links to the equal-valued runs above it, and the links are merged by
+root hooking and pointer jumping (Shiloach and Vishkin 1982).  That is a
+few numpy passes over those pixels; no Python loop visits a pixel.
 
 All functions are pure; per-image evaluation parallelizes trivially and the
 metric aggregation is order-independent.
@@ -105,9 +105,9 @@ def _peak_indices(heatmap: Grid, window: int, threshold: float) -> np.ndarray:
     tied = np.flatnonzero(candidates.ravel() & equal)
     if not tied.size:
         return np.flatnonzero(candidates)
-    # The region: pixels with an equal neighbor and a tied candidate's value.
-    region = np.flatnonzero(equal)
-    region = region[np.isin(flat[region], np.unique(flat[tied]))]
+    # The region: pixels with an equal neighbor at or above the least tied
+    # candidate's value.  It holds each tied candidate's whole plateau.
+    region = np.flatnonzero(equal & (flat >= flat[tied].min()))
     v, x = flat[region], region % w
     # Row runs: a pixel starts a run unless it is the next pixel of the same
     # row after an equal-valued region pixel.
@@ -116,24 +116,21 @@ def _peak_indices(heatmap: Grid, window: int, threshold: float) -> np.ndarray:
     run = np.cumsum(starts) - 1
     run_of = np.full(flat.size, -1)
     run_of[region] = run
-    runs = int(run[-1]) + 1
-    # Links to the equal-valued runs above at dx -1/0/+1.  A diagonal above
-    # an inner run pixel is straight above its run neighbor, so only run
-    # starts look up-left and only run ends look up-right.  Each dx's keys
-    # ascend in region order, so adjacent repeats are all its duplicates.
+    # Links to the equal-valued runs above at dx -1/0/+1 (a repeat only
+    # repeats a hook).  A diagonal above an inner run pixel is straight above
+    # its run neighbor, so only run starts look up-left and only ends up-right.
     ends = np.append(starts[1:], True)
-    keys = []
+    a, b = [], []
     for dx, at in ((-1, starts & (x > 0)), (0, True), (1, ends & (x < w - 1))):
         sel = np.flatnonzero(at & (region >= w))
         q = region[sel] - w + dx
         link = (run_of[q] >= 0) & (flat[q] == v[sel])
-        key = run[sel[link]] * runs + run_of[q[link]]
-        keys.append(key[np.diff(key, prepend=-1) != 0])
-    key = np.unique(np.concatenate(keys))
-    a, b = key // runs, key % runs
+        a.append(run[sel[link]])
+        b.append(run_of[q[link]])
+    a, b = np.concatenate(a), np.concatenate(b)
     # Components: hook the greater root of each split link to the lesser,
     # then jump pointers until every run points at its root.
-    root = np.arange(runs)
+    root = np.arange(run[-1] + 1)
     while True:
         ra, rb = root[a], root[b]
         split = ra != rb

@@ -241,7 +241,7 @@ def interpolate_boxes(
         if not (math.isfinite(cx) and math.isfinite(cy)):
             raise ValidationError(f"query center must be finite, got ({cx}, {cy})")
         dists = np.hypot(anchor_xy[:, 0] - cx, anchor_xy[:, 1] - cy)
-        order = np.lexsort((np.arange(len(dists)), dists))
+        order = np.argsort(dists, kind="stable")
         near = anchors.anchors[order[0]]
         if len(order) == 1 or dists[order[0]] == 0.0:
             result.append(BoxAnnotation(cx, cy, near.w, near.h))

@@ -226,6 +226,14 @@ class TestPlateauShapes:
         assert got == brute_force_peaks(values, 3, 0.3)
         assert sum(values[p] == 0.46839 for p in got) == 1
 
+    def test_least_tied_candidate_below_a_ramp_of_row_plateaus(self):
+        """Rows y >= 52 are plateaus valued above the tied pair at (0, 0), so
+        they are labelled with it, each as its own plateau; of those only the
+        last row holds candidates."""
+        values = 0.4 + np.arange(512)[:, None] / 1024 + np.zeros(512)
+        values[0, :2] = 0.45
+        assert self.coords(values) == [(0, 0), (511, 0)] == brute_force_peaks(values, 3, 0.3)
+
 
 class TestCountImage:
     def test_well_separated_kernels_count_exactly(self):
@@ -287,6 +295,11 @@ class TestMatchLocalizations:
 
     def test_no_peaks_all_missed(self):
         assert match_localizations((), self.scene, 0.5) == (0, 3, 0)
+
+    @pytest.mark.parametrize("radius_factor", [0.0, -1.0, math.nan, math.inf])
+    def test_radius_factor_rejected(self, radius_factor):
+        with pytest.raises(ValidationError, match=f"^radius_factor must be > 0, got {radius_factor}$"):
+            match_localizations((), self.scene, radius_factor)
 
     def test_distant_peaks_are_spurious(self):
         peaks = (Peak(0, 63, 0.9), Peak(63, 63, 0.9))

@@ -1,6 +1,7 @@
 """Ground-truth synthesis: kernel widths, heatmaps, masks, interpolation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -320,3 +321,15 @@ class TestSceneValidation:
     def test_degenerate_dimensions_rejected(self):
         with pytest.raises(ValidationError):
             SceneAnnotation(0, 10, ())
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: BoxAnnotation(math.inf, 0.0, 2, 2), "box center must be finite, got (inf, 0.0)"),
+        (lambda: BoxAnnotation(0.0, math.nan, 2, 2), "box center must be finite, got (0.0, nan)"),
+        (lambda: SigmaParams(eta=-1.0), "eta must be finite and >= 0, got -1.0"),
+        (lambda: SigmaParams(eta=math.inf), "eta must be finite and >= 0, got inf"),
+        (lambda: render_heatmap(SceneAnnotation(4, 4, ()), SigmaParams(), stride=0), "stride must be >= 1, got 0"),
+        (lambda: render_mask(SceneAnnotation(4, 4, ()), stride=-2), "stride must be >= 1, got -2"),
+    ])
+    def test_rejection_names_the_value(self, build, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build()

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -31,7 +32,7 @@ from heatloss import (
     write_grid_csv,
 )
 from heatloss.cli import _EXIT_CODES, main
-from heatloss.serialization import dump_scene, load_scene
+from heatloss.serialization import dump_scene, load_experiment_config, load_scene, scene_from_obj
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
 
@@ -51,16 +52,21 @@ def error_payload(err):
     return payload
 
 
-def run_cli_process(*argv, env=None):
-    """The CLI as a child process, so warnings numpy prints reach its stderr; ``env`` adds variables."""
+def run_python(*args, env=None):
+    """A fresh interpreter with ``src`` on its path, so warnings numpy prints reach its stderr; ``env`` adds variables."""
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "heatloss.cli", *argv],
+        [sys.executable, *args],
         env={**os.environ, "PYTHONPATH": pythonpath, **(env or {})},
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def run_cli_process(*argv, env=None):
+    """The CLI as a child process."""
+    return run_python("-m", "heatloss.cli", *argv, env=env)
 
 
 def write_scene(path, width=32, height=32, boxes=((16.0, 16.0, 6.0, 6.0),)):
@@ -99,6 +105,15 @@ class TestGridFormats:
         short.write_bytes(b"GRID 2 2\n" + b"\x00" * 15)
         with pytest.raises(SchemaError):
             read_grid(short)
+
+    @pytest.mark.parametrize("values, message", [
+        (np.zeros((0, 3)), "grid values must be a non-empty 2-D array, got shape (0, 3)"),
+        (np.zeros(3), "grid values must be a non-empty 2-D array, got shape (3,)"),
+        (np.array([[0.0, np.nan]]), "grid values must be finite"),
+    ])
+    def test_grid_values_rejected(self, values, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            Grid(values)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(values=arrays(np.float32, GRID_SHAPES, elements=st.floats(width=32, allow_nan=False, allow_infinity=False),
@@ -220,6 +235,18 @@ class TestAnnotationJson:
         path.write_text(json.dumps({"width": 8, "height": 8, "boxes": [{"cx": 1, "cy": 1, "w": 2}]}))
         with pytest.raises(SchemaError, match="'h'"):
             load_scene(path)
+
+
+class TestSchemaRejections:
+    def test_non_object_is_named(self):
+        with pytest.raises(SchemaError, match="^annotation: expected a JSON object, got list$"):
+            scene_from_obj([])
+
+    def test_experiment_needs_a_variant(self, tmp_path):
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps({"scenes": [], "variants": []}))
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: 'variants' must be non-empty$"):
+            load_experiment_config(path, seed=None)
 
 
 class TestUnreadableJson:
@@ -641,16 +668,34 @@ class TestUsageErrors:
 
 def test_cli_import_loads_no_scipy():
     probe = "import sys, heatloss.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": pythonpath},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    result = run_python("-c", probe)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_counting_and_fitting_load_no_numpy_ma(tmp_path):
+    """A value-only ``np.unique`` or ``np.isin`` imports ``numpy.ma`` on first use,
+    about 15 ms per process; no counting or fit path may make one."""
+    write_scene(tmp_path / "scene.json")
+    (tmp_path / "loss.json").write_text(json.dumps({"variant": "MASK_FOCAL"}))
+    values = np.zeros((8, 8))
+    values[1, 1:4] = values[5:7, 5] = 0.8  # two tied plateaus
+    write_grid(Grid(values), tmp_path / "tied.grid")
+    probe = (
+        "import sys\n"
+        "from heatloss import count_image, extract_peaks, read_grid\n"
+        "from heatloss.cli import main\n"
+        f"grid = read_grid({str(tmp_path / 'tied.grid')!r})\n"
+        "assert count_image(grid) == len(extract_peaks(grid)) == 2\n"
+        f"assert main(['fit', '--annotation', {str(tmp_path / 'scene.json')!r}, '--loss-config', "
+        f"{str(tmp_path / 'loss.json')!r}, '--steps', '20', '--learning-rate', '0.5', '--seed', '1']) == 0\n"
+        f"assert main(['peaks', '--heatmap', {str(tmp_path / 'tied.grid')!r}, '--out', "
+        f"{str(tmp_path / 'peaks.json')!r}]) == 0\n"
+        "sys.stderr.write(str('numpy.ma' in sys.modules))\n"
+    )
+    result = run_python("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == "False"
 
 
 class TestPeaksAndCountCommands:

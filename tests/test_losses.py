@@ -1,6 +1,7 @@
 """Loss family: worked values, reduction identities, and algebraic properties."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -293,3 +294,14 @@ class TestLossWithGrad:
         with pytest.raises(ValidationError):
             LossConfig("NO_SUCH_VARIANT")
         assert LossConfig("MASK_FOCAL").variant is LossVariant.MASK_FOCAL
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: LossConfig(LossVariant.MASK_FOCAL, beta=-0.5), "beta must be finite and >= 0, got -0.5"),
+        (lambda: LossConfig(LossVariant.MASK_FOCAL, beta=math.nan), "beta must be finite and >= 0, got nan"),
+        (lambda: LossConfig(LossVariant.MASK_FOCAL, eps1=math.inf), "eps1 must be finite, got inf"),
+        (lambda: bundle([[0.5, 1.5]], 1), "heatmap values must lie in [0, 1]"),
+        (lambda: bundle([[0.5, 1.0]], -1), "n_objects must be >= 0, got -1"),
+    ])
+    def test_rejection_names_the_value(self, build, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build()

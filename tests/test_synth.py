@@ -1,6 +1,7 @@
 """Synthetic scenes and the direct gradient-descent fitting harness."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -35,6 +36,10 @@ from heatloss.synth import _fit_batch, expit
 from helpers import reference_fit, reference_scene
 
 SIGMA = SigmaParams(eta=1.0, eps_sigma=3.0)
+
+
+def fit_config(**overrides):
+    return FitConfig(**{"loss": LossConfig(LossVariant.MASK_FOCAL), "steps": 1, "learning_rate": 0.5, **overrides})
 
 
 def small_scene(n_heads=3, seed=7):
@@ -110,7 +115,27 @@ class TestGenerateScene:
         with pytest.raises(ValidationError, match=message):
             SynthParams(seed=seed, width=8, height=8, n_heads=1)
         with pytest.raises(ValidationError, match=message):
-            FitConfig(loss=LossConfig(LossVariant.MASK_FOCAL), steps=1, learning_rate=0.5, seed=seed)
+            fit_config(seed=seed)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: SynthParams(seed=1, width=0, height=8, n_heads=1), "scene dimensions must be >= 1, got 0x8"),
+        (lambda: SynthParams(seed=1, width=8, height=-3, n_heads=1), "scene dimensions must be >= 1, got 8x-3"),
+        (lambda: SynthParams(seed=1, width=8, height=8, n_heads=1, min_center_gap=-1.0),
+         "min_center_gap must be >= 0, got -1.0"),
+        (lambda: SynthParams(seed=1, width=8, height=8, n_heads=1, min_center_gap=math.nan),
+         "min_center_gap must be >= 0, got nan"),
+        (lambda: fit_config(init="NO_SUCH_INIT"), "unknown init mode 'NO_SUCH_INIT'"),
+        (lambda: fit_config(steps=0), "steps must be >= 1, got 0"),
+        (lambda: fit_config(learning_rate=0.0), "learning_rate must be > 0, got 0.0"),
+        (lambda: fit_config(learning_rate=math.inf), "learning_rate must be > 0, got inf"),
+        (lambda: fit_config(record_every=0), "record_every must be >= 1, got 0"),
+    ])
+    def test_rejection_names_the_value(self, build, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_init_mode_by_name(self):
+        assert fit_config(init="SEEDED_NOISE", seed=3).init is InitMode.SEEDED_NOISE
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -353,6 +378,24 @@ class TestFitDirect:
         scene = generate_scene(SynthParams(seed=11, width=width, height=height, n_heads=heads))
         cfg = FitConfig(loss=loss, steps=40, learning_rate=0.5, init=init, record_every=3, seed=5)
         assert_matches_reference(scene, cfg)
+
+    @pytest.mark.parametrize("init", [InitMode.UNIFORM_HALF, InitMode.SEEDED_NOISE], ids=lambda m: m.value)
+    @pytest.mark.parametrize("loss", [
+        LossConfig(LossVariant.POLY1_PIXELWISE, beta=4.0, gamma=2.0, eps1=-3.0),
+        LossConfig(LossVariant.MASK_FOCAL_POLY1, beta=0.5, gamma=4.0, eps1=-3.0),
+    ], ids=lambda c: c.variant.value)
+    def test_mixed_sign_terms_match_reference_within_their_magnitude(self, loss, init):
+        """At eps1 = -3 the term ``d^g (ln(1 - d) + 3 d)`` changes sign near d = 0.94,
+        and a learning rate of 24 throws some predictions past it: a step's terms
+        cancel, so its loss is bounded against ``|scale| sum(|term|)``, not ``|loss|``."""
+        scene = generate_scene(SynthParams(seed=11, width=12, height=10, n_heads=2))
+        cfg = FitConfig(loss=loss, steps=40, learning_rate=24.0, init=init, record_every=1, seed=5)
+        trace = fit_direct(scene, SIGMA, cfg)
+        losses, final_pred, final_count, magnitudes = reference_fit(scene, SIGMA, cfg)
+        assert any(m > 1.5 * abs(value) for (_, value), m in zip(losses, magnitudes))  # the terms mix signs
+        assert_losses_within_bound(scene, trace.losses, losses, magnitudes)
+        assert trace.final_pred.values.tobytes() == final_pred.values.tobytes()
+        assert trace.final_count == final_count
 
     @pytest.mark.parametrize("every", [1, 7])
     @pytest.mark.parametrize("scene_name", list(CLASS_SCENES))
