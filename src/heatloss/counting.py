@@ -6,11 +6,12 @@ confidence threshold; the length of the peak tuple is the predicted count.
 
 A plateau (maximal 8-connected equal-value region, possibly running through
 non-candidates) yields one peak, its least (y, x) candidate.  Plateaus are
-labelled in numpy over row runs (Rosenfeld and Pfaltz 1966) on the pixels
-with an equal neighbor at or above the least tied candidate's value: each
-run links to the equal-valued runs above it, and the links are merged by
-root hooking and pointer jumping (Shiloach and Vishkin 1982).  That is a
-few numpy passes over those pixels; no Python loop visits a pixel.
+labelled in numpy over row runs (Rosenfeld and Pfaltz 1966) on the
+candidates and the pixels with an equal neighbor at or above the least
+candidate's value: each run start probes up-left, up and down-left for an
+equal-valued run, and the links are merged by root hooking and pointer
+jumping (Shiloach and Vishkin 1982).  That is a few numpy passes over those
+pixels; no Python loop visits a pixel.
 
 All functions are pure; per-image evaluation parallelizes trivially and the
 metric aggregation is order-independent.
@@ -89,9 +90,8 @@ def _equal_neighbor_map(values: np.ndarray) -> np.ndarray:
 def _peak_indices(heatmap: Grid, window: int, threshold: float) -> np.ndarray:
     """Sorted flat indices of the peaks of ``heatmap`` (ascending == (y, x) order).
 
-    Candidates without an equal neighbor are peaks as they stand; the tied
-    ones are grouped by plateau over row runs, and each plateau keeps its
-    least flat-index tied candidate.
+    Every candidate is grouped by plateau over row runs, and each plateau
+    keeps its least flat-index candidate.
     """
     if window < 3 or window % 2 == 0:
         raise ValidationError(f"window must be odd and >= 3, got {window}")
@@ -100,37 +100,35 @@ def _peak_indices(heatmap: Grid, window: int, threshold: float) -> np.ndarray:
     if not heatmap.is_unit_range():
         raise ValidationError("heatmap values must lie in [0, 1]")
     values, w = heatmap.values, heatmap.width
-    candidates = (values == _window_max(values, window)) & (values >= threshold)
-    flat, equal = values.ravel(), _equal_neighbor_map(values).ravel()
-    tied = np.flatnonzero(candidates.ravel() & equal)
-    if not tied.size:
-        return np.flatnonzero(candidates)
-    # The region: pixels with an equal neighbor at or above the least tied
-    # candidate's value.  It holds each tied candidate's whole plateau.
-    region = np.flatnonzero(equal & (flat >= flat[tied].min()))
+    found = np.flatnonzero((values == _window_max(values, window)) & (values >= threshold))
+    if not found.size:
+        return found
+    # The region: the candidates, and the pixels with an equal neighbor at or
+    # above the least candidate's value.  It holds each candidate's whole plateau.
+    flat = values.ravel()
+    inside = _equal_neighbor_map(values).ravel() & (flat >= flat[found].min())
+    inside[found] = True
+    region = np.flatnonzero(inside)
     v, x = flat[region], region % w
     # Row runs: a pixel starts a run unless it is the next pixel of the same
     # row after an equal-valued region pixel.
     starts = np.ones(region.size, dtype=bool)
     starts[1:] = (np.diff(region) != 1) | (x[1:] == 0) | (v[1:] != v[:-1])
-    run = np.cumsum(starts) - 1
     run_of = np.full(flat.size, -1)
-    run_of[region] = run
-    # Links to the equal-valued runs above at dx -1/0/+1 (a repeat only
-    # repeats a hook).  A diagonal above an inner run pixel is straight above
-    # its run neighbor, so only run starts look up-left and only ends up-right.
-    ends = np.append(starts[1:], True)
-    a, b = [], []
-    for dx, at in ((-1, starts & (x > 0)), (0, True), (1, ends & (x < w - 1))):
-        sel = np.flatnonzero(at & (region >= w))
-        q = region[sel] - w + dx
-        link = (run_of[q] >= 0) & (flat[q] == v[sel])
-        a.append(run[sel[link]])
-        b.append(run_of[q[link]])
-    a, b = np.concatenate(a), np.concatenate(b)
+    run_of[region] = np.cumsum(starts) - 1
+    # Links from run starts only.  Equal-valued runs [s1, e1] above [s2, e2]
+    # touch iff s2 <= e1 + 1 and s1 <= e2 + 1, and then one probe lands in the
+    # other run: up-left of s2 if s1 < s2, above s2 if s1 = s2, and down-left
+    # of s1 if s1 > s2.
+    head, hv, left = region[starts], v[starts], x[starts] > 0
+    up, down = head >= w, head < flat.size - w
+    probe, a = np.nonzero([left & up, up, left & down])
+    q = head[a] + np.array([-w - 1, -w, w - 1])[probe]
+    link = (run_of[q] >= 0) & (flat[q] == hv[a])
+    a, b = a[link], run_of[q[link]]
     # Components: hook the greater root of each split link to the lesser,
     # then jump pointers until every run points at its root.
-    root = np.arange(run[-1] + 1)
+    root = np.arange(head.size)
     while True:
         ra, rb = root[a], root[b]
         split = ra != rb
@@ -142,12 +140,9 @@ def _peak_indices(heatmap: Grid, window: int, threshold: float) -> np.ndarray:
             if np.array_equal(jumped, root):
                 break
             root = jumped
-    # Each plateau keeps its least tied candidate.
-    _, first = np.unique(root[run_of[tied]], return_index=True)
-    keep = candidates.ravel()
-    keep[tied] = False
-    keep[tied[first]] = True
-    return np.flatnonzero(keep)
+    # Each plateau keeps its least candidate.
+    _, first = np.unique(root[run_of[found]], return_index=True)
+    return found[np.sort(first)]
 
 
 def extract_peaks(heatmap: Grid, window: int = DEFAULT_WINDOW, threshold: float = DEFAULT_THRESHOLD) -> tuple[Peak, ...]:
@@ -173,6 +168,9 @@ def compute_metrics(per_image: list[tuple[int, int]]) -> CountReport:
     if not per_image:
         raise ValidationError("per-image count list must be non-empty")
     pairs = tuple((int(p), int(t)) for p, t in per_image)
+    for i, (p, t) in enumerate(pairs):
+        if p < 0 or t < 0:
+            raise ValidationError(f"per_image[{i}]: counts must be >= 0, got pred {p}, truth {t}")
     errors = np.array([p - t for p, t in pairs], dtype=np.float64)
     mae = float(np.mean(np.abs(errors)))
     rmse = float(math.sqrt(np.mean(errors * errors)))

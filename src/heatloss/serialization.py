@@ -32,6 +32,7 @@ def _is_kind(value: Any, kind: type) -> bool:
 
 
 def _require(obj: dict, key: str, kind: type, where: str) -> Any:
+    """``obj[key]``, checked to be of ``kind``; a ``float`` kind returns a float."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected a JSON object, got {type(obj).__name__}")
     if key not in obj:
@@ -39,15 +40,29 @@ def _require(obj: dict, key: str, kind: type, where: str) -> Any:
     value = obj[key]
     if not _is_kind(value, kind):
         raise SchemaError(f"{where}: key {key!r} has wrong type {type(value).__name__}")
-    return value
+    return float(value) if kind is float else value
+
+
+def _fields(obj: Any, where: str, required: dict[str, type], optional: dict[str, type]) -> dict[str, Any]:
+    """The required and the present optional keys of a closed object, each of its kind.
+
+    Any other key is a :class:`SchemaError`, so a misspelled optional key
+    cannot fall back to its default.
+    """
+    kinds = {**required, **optional}
+    fields = {key: _require(obj, key, kind, where) for key, kind in kinds.items() if key in required or key in obj}
+    for key in obj:
+        if key not in kinds:
+            raise SchemaError(f"{where}: unknown key {key!r} (known keys: {', '.join(kinds)})")
+    return fields
 
 
 def _box_from_obj(obj: dict, where: str) -> BoxAnnotation:
     return BoxAnnotation(
-        cx=float(_require(obj, "cx", float, where)),
-        cy=float(_require(obj, "cy", float, where)),
-        w=float(_require(obj, "w", float, where)),
-        h=float(_require(obj, "h", float, where)),
+        cx=_require(obj, "cx", float, where),
+        cy=_require(obj, "cy", float, where),
+        w=_require(obj, "w", float, where),
+        h=_require(obj, "h", float, where),
     )
 
 
@@ -97,13 +112,8 @@ def load_points(path: str | Path) -> list[tuple[float, float]]:
 
 
 def loss_config_from_obj(obj: Any, where: str = "loss config") -> LossConfig:
-    variant = _require(obj, "variant", str, where)
-    kwargs = {
-        key: float(_require(obj, key, float, where))
-        for key in ("alpha", "beta", "gamma", "eps1", "clamp")
-        if key in obj
-    }
-    return LossConfig(variant=variant, **kwargs)
+    optional = dict.fromkeys(("alpha", "beta", "gamma", "eps1", "clamp"), float)
+    return LossConfig(**_fields(obj, where, {"variant": str}, optional))
 
 
 def loss_config_to_obj(cfg: LossConfig) -> dict:
@@ -160,22 +170,12 @@ def load_count_pairs(path: str | Path) -> list[tuple[int, int]]:
 
 
 def sigma_params_from_obj(obj: Any, where: str = "sigma") -> SigmaParams:
-    return SigmaParams(
-        eta=float(_require(obj, "eta", float, where)),
-        eps_sigma=float(_require(obj, "eps_sigma", float, where)),
-    )
+    return SigmaParams(**_fields(obj, where, {"eta": float, "eps_sigma": float}, {}))
 
 
 def fit_config_from_obj(obj: Any, loss: LossConfig, seed: int | None, where: str = "fit") -> FitConfig:
-    optional = (("init", str), ("record_every", int))
-    kwargs = {key: _require(obj, key, kind, where) for key, kind in optional if key in obj}
-    return FitConfig(
-        loss=loss,
-        steps=_require(obj, "steps", int, where),
-        learning_rate=float(_require(obj, "learning_rate", float, where)),
-        seed=seed,
-        **kwargs,
-    )
+    fields = _fields(obj, where, {"steps": int, "learning_rate": float}, {"init": str, "record_every": int})
+    return FitConfig(loss=loss, seed=seed, **fields)
 
 
 def load_experiment_config(

@@ -1,6 +1,7 @@
 """Peak extraction, count metrics, and localization matching."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -182,6 +183,35 @@ def test_large_windows_equal_brute_force(seed, levels, window, threshold):
     assert [(p.y, p.x) for p in got] == brute_force_peaks(values, window, threshold)
 
 
+NEIGHBORS = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    share=st.sampled_from([0.1, 0.3, 0.6, 0.9]),
+    window=st.sampled_from([3, 5, 7]),
+    threshold=st.sampled_from([0.1, 0.3, 0.5, 0.9]),
+)
+def test_continuous_grids_with_copied_neighbors_equal_brute_force(seed, share, window, threshold):
+    """Random floats of 1 to 29 a side where a share of the pixels, in row-major
+    order, copies one 8-neighbor's value.
+
+    Plateaus then form at arbitrary levels, with untied candidates both above
+    and below them, so the least candidate, whose value floors the labelled
+    region, is sometimes on a plateau and sometimes alone.
+    """
+    rng = np.random.default_rng(seed)
+    h, w = rng.integers(1, 30, 2)
+    values = rng.random((h, w))
+    for y, x in zip(*np.nonzero(rng.random((h, w)) < share)):
+        dy, dx = NEIGHBORS[rng.integers(8)]
+        values[y, x] = values[min(max(y + dy, 0), h - 1), min(max(x + dx, 0), w - 1)]
+    got = extract_peaks(Grid(values), window, threshold)
+    assert [(p.y, p.x) for p in got] == brute_force_peaks(values, window, threshold)
+    assert count_image(Grid(values), window, threshold) == len(got)
+
+
 class TestPlateauShapes:
     """Plateaus whose runs join only through long paths, diagonals, or not at all."""
 
@@ -195,7 +225,7 @@ class TestPlateauShapes:
 
     @pytest.mark.parametrize("upper, lower, expected", [
         (np.s_[1:3], np.s_[3:5], (1, 1)),  # the lower run's start looks up-left
-        (np.s_[3:5], np.s_[1:3], (1, 3)),  # the lower run's end looks up-right
+        (np.s_[3:5], np.s_[1:3], (1, 3)),  # the upper run's start looks down-left
     ])
     def test_runs_joined_only_diagonally_form_one_plateau(self, upper, lower, expected):
         values = np.zeros((4, 6))
@@ -205,9 +235,9 @@ class TestPlateauShapes:
     @pytest.mark.parametrize("cells, expected", [
         # a run ending at x = w - 1 and an equal run starting at x = 0 below it
         (((0, np.s_[3:5]), (1, np.s_[0:2])), [(0, 3), (1, 0)]),
-        # up-left of x = 0 is the end of the row two above
+        # up-left of x = 0 is the end of the row two above: only a start at x > 0 looks there
         (((0, np.s_[3:5]), (2, np.s_[0:2])), [(0, 3), (2, 0)]),
-        # up-right of x = w - 1 is the start of the same row
+        # down-left of x = 0 is the end of the same row: only a start at x > 0 looks there
         (((1, np.s_[0:2]), (2, np.s_[0:2]), (1, np.s_[4:5]), (2, np.s_[4:5])), [(1, 0), (1, 4)]),
     ])
     def test_runs_do_not_join_across_the_row_wrap(self, cells, expected):
@@ -227,9 +257,9 @@ class TestPlateauShapes:
         assert sum(values[p] == 0.46839 for p in got) == 1
 
     def test_least_tied_candidate_below_a_ramp_of_row_plateaus(self):
-        """Rows y >= 52 are plateaus valued above the tied pair at (0, 0), so
-        they are labelled with it, each as its own plateau; of those only the
-        last row holds candidates."""
+        """The least candidates are the tied pair (0, 0)-(0, 1); rows y >= 52
+        are plateaus valued above it, so they are labelled with it, each as its
+        own plateau; of those only the last row holds candidates."""
         values = 0.4 + np.arange(512)[:, None] / 1024 + np.zeros(512)
         values[0, :2] = 0.45
         assert self.coords(values) == [(0, 0), (511, 0)] == brute_force_peaks(values, 3, 0.3)
@@ -282,6 +312,14 @@ class TestComputeMetrics:
     def test_empty_list_rejected(self):
         with pytest.raises(ValidationError):
             compute_metrics([])
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([(-3, 2)], "per_image[0]: counts must be >= 0, got pred -3, truth 2"),
+        ([(1, 1), (4, 4), (2, -1)], "per_image[2]: counts must be >= 0, got pred 2, truth -1"),
+    ], ids=["pred", "truth"])
+    def test_negative_count_rejected(self, pairs, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            compute_metrics(pairs)
 
 
 class TestMatchLocalizations:

@@ -32,7 +32,15 @@ from heatloss import (
     write_grid_csv,
 )
 from heatloss.cli import _EXIT_CODES, main
-from heatloss.serialization import dump_scene, load_experiment_config, load_scene, scene_from_obj
+from heatloss.serialization import (
+    dump_scene,
+    fit_config_from_obj,
+    load_experiment_config,
+    load_scene,
+    loss_config_from_obj,
+    scene_from_obj,
+    sigma_params_from_obj,
+)
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
 
@@ -247,6 +255,25 @@ class TestSchemaRejections:
         path.write_text(json.dumps({"scenes": [], "variants": []}))
         with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: 'variants' must be non-empty$"):
             load_experiment_config(path, seed=None)
+
+    @pytest.mark.parametrize("parse, known, key, message", [
+        (loss_config_from_obj, {"variant": "MASK_FOCAL", "beta": 0.5}, "gama",
+         "loss config: unknown key 'gama' (known keys: variant, alpha, beta, gamma, eps1, clamp)"),
+        (sigma_params_from_obj, {"eta": 1.0, "eps_sigma": 3.0}, "etaa",
+         "sigma: unknown key 'etaa' (known keys: eta, eps_sigma)"),
+        (lambda obj: fit_config_from_obj(obj, LossConfig("MASK_FOCAL"), None), {"steps": 1, "learning_rate": 0.5},
+         "recordevery", "fit: unknown key 'recordevery' (known keys: steps, learning_rate, init, record_every)"),
+    ], ids=["loss", "sigma", "fit"])
+    def test_config_rejects_an_unknown_key(self, parse, known, key, message):
+        """A misspelled key would otherwise leave its setting at the default."""
+        parse(known)
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            parse({**known, key: 9.0})
+
+    def test_annotations_stay_open_to_metadata(self):
+        obj = {"width": 8, "height": 8, "source": "frame 12",
+               "boxes": [{"cx": 1.0, "cy": 2.0, "w": 3.0, "h": 4.0, "label": "head"}]}
+        assert scene_from_obj(obj) == SceneAnnotation(8, 8, (BoxAnnotation(1.0, 2.0, 3.0, 4.0),))
 
 
 class TestUnreadableJson:
@@ -740,6 +767,16 @@ class TestPeaksAndCountCommands:
             "per_image": [{"pred": 3, "truth": 4}, {"pred": 5, "truth": 4}],
         }
 
+    def test_eval_count_rejects_a_negative_count(self, tmp_path, capsys):
+        counts = tmp_path / "counts.json"
+        counts.write_text(json.dumps({"per_image": [{"pred": 1, "truth": 1}, {"pred": -3, "truth": 2}]}))
+        out = tmp_path / "report.json"
+        code, stdout, err = run_cli(capsys, "eval-count", "--counts", str(counts), "--out", str(out))
+        assert code == 4 and stdout == "" and not out.exists()
+        assert error_payload(err) == {
+            "error": "VALIDATION_ERROR", "message": "per_image[1]: counts must be >= 0, got pred -3, truth 2",
+        }
+
     def test_empty_csv_heatmap_is_schema_error(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
@@ -848,6 +885,33 @@ class TestSynthFitExperimentCommands:
         for entry in results:
             assert entry["report"]["m"] == 2
         assert results[0]["variant"]["variant"] == "MASK_FOCAL"
+
+    def test_fit_rejects_a_misspelled_loss_key(self, tmp_path, capsys):
+        ann, cfg = tmp_path / "scene.json", tmp_path / "loss.json"
+        write_scene(ann)
+        cfg.write_text(json.dumps({"variant": "MASK_FOCAL", "gama": 9.0, "beta": 0.5}))
+        code, out, err = run_cli(capsys, "fit", "--annotation", str(ann), "--loss-config", str(cfg),
+                                 "--steps", "2", "--learning-rate", "0.5", "--seed", "1")
+        assert code == 2 and out == ""
+        payload = error_payload(err)
+        assert payload["error"] == "SCHEMA_ERROR" and f"{cfg}: unknown key 'gama'" in payload["message"]
+
+    @pytest.mark.parametrize("section, key", [("sigma", "etaa"), ("fit", "recordevery"), ("variant", "gama")])
+    def test_experiment_rejects_a_misspelled_key(self, tmp_path, capsys, section, key):
+        config = tmp_path / "exp.json"
+        obj = {
+            "scenes": [{"width": 16, "height": 16, "boxes": [{"cx": 8.0, "cy": 8.0, "w": 5.0, "h": 5.0}]}],
+            "variants": [{"variant": "MASK_FOCAL"}],
+            "sigma": {"eta": 1.0, "eps_sigma": 3.0},
+            "fit": {"steps": 2, "learning_rate": 0.5},
+        }
+        (obj["variants"][0] if section == "variant" else obj[section])[key] = 5
+        config.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(config), "--seed", "1",
+                                 "--out", str(tmp_path / "r.json"))
+        assert code == 2 and out == "" and not (tmp_path / "r.json").exists()
+        payload = error_payload(err)
+        assert payload["error"] == "SCHEMA_ERROR" and f": unknown key '{key}'" in payload["message"]
 
     def test_experiment_without_scenes_is_validation_error(self, tmp_path, capsys):
         config = tmp_path / "exp.json"
