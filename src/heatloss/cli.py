@@ -31,6 +31,7 @@ from .synth import FitConfig, InitMode, SynthParams, fit_direct, generate_scene,
 
 GRAD_CHECK_TOLERANCE = 1e-6
 _FD_BLOCK = 64  # one-hot perturbations per finite-difference batch; bounds grad-check memory
+_FD_STEP = 1e-6  # central-difference half step
 _EXIT_CODES = {
     "SCHEMA_ERROR": 2,
     "DIM_MISMATCH": 3,
@@ -137,7 +138,7 @@ def random_instance(
     return Grid(pred), bundle, cfg
 
 
-def max_grad_deviation(variant: LossVariant, size: int, instances: int, seed: int, step: float = 1e-6) -> float:
+def max_grad_deviation(variant: LossVariant, size: int, instances: int, seed: int) -> float:
     """Max relative deviation between analytic gradients and central differences."""
     if size < 1 or instances < 1 or seed < 0:
         raise ValidationError(f"need size >= 1, instances >= 1, seed >= 0; got {size}, {instances}, {seed}")
@@ -152,8 +153,8 @@ def max_grad_deviation(variant: LossVariant, size: int, instances: int, seed: in
             k = min(_FD_BLOCK, n - start)
             # one-hot rows start..start+k-1; the last block's rows past n are zero, unperturbed padding
             eye = np.eye(_FD_BLOCK, n, start).reshape(_FD_BLOCK, size, size)
-            values = _loss_values(loss_step, np.concatenate([pred.values + step * eye, pred.values - step * eye]))[0]
-            fd[start : start + k] = (values[:k] - values[_FD_BLOCK : _FD_BLOCK + k]) / (2.0 * step)
+            values = _loss_values(loss_step, np.concatenate([pred.values + _FD_STEP * eye, pred.values - _FD_STEP * eye]))[0]
+            fd[start : start + k] = (values[:k] - values[_FD_BLOCK : _FD_BLOCK + k]) / (2.0 * _FD_STEP)
         deviation = np.abs(grad - fd) / (1.0 + np.abs(grad))
         worst = max(worst, float(deviation.max()))
     return worst

@@ -181,14 +181,14 @@ def fit_config_from_obj(obj: Any, loss: LossConfig, seed: int | None, where: str
 def load_experiment_config(
     path: str | Path, seed: int | None
 ) -> tuple[list[SceneAnnotation], list[LossConfig], SigmaParams, FitConfig]:
-    """Parse an experiment file: scenes (inline or file refs), variants, sigma, fit."""
+    """Parse an experiment file: scenes (open inline or closed file refs), variants, sigma, fit; no other key."""
     obj = _load_json(path)
     where = str(path)
     base = Path(path).parent
     scenes = []
     for i, entry in enumerate(_require(obj, "scenes", list, where)):
-        if isinstance(entry, dict) and set(entry) == {"file"}:
-            scenes.append(load_scene(base / _require(entry, "file", str, f"{where}.scenes[{i}]")))
+        if isinstance(entry, dict) and "file" in entry:
+            scenes.append(load_scene(base / _fields(entry, f"{where}.scenes[{i}]", {"file": str}, {})["file"]))
         else:
             scenes.append(scene_from_obj(entry, where=f"{where}.scenes[{i}]"))
     variants = [
@@ -199,6 +199,8 @@ def load_experiment_config(
         raise SchemaError(f"{where}: 'variants' must be non-empty")
     sigma = sigma_params_from_obj(_require(obj, "sigma", dict, where), where=f"{where}.sigma")
     fit = fit_config_from_obj(_require(obj, "fit", dict, where), variants[0], seed, where=f"{where}.fit")
+    # the closed top level, checked last so that a part's own error comes first
+    _fields(obj, where, {"scenes": list, "variants": list, "sigma": dict, "fit": dict}, {})
     return scenes, variants, sigma, fit
 
 

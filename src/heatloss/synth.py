@@ -205,7 +205,7 @@ def _class_vector(
     return values, classes, counts.astype(np.float64), np.zeros(values.size)
 
 
-def _fit_batch(scenes: list[SceneAnnotation], sigma: SigmaParams, cfg: FitConfig) -> list[FitTrace]:
+def _fit_loop(scenes: list[SceneAnnotation], sigma: SigmaParams, cfg: FitConfig) -> list[FitTrace]:
     """Fit every scene under ``cfg`` in one loop: one :func:`fit_direct` per scene, in order.
 
     Every variant is a sum of per-pixel terms times one scale, and the
@@ -222,25 +222,10 @@ def _fit_batch(scenes: list[SceneAnnotation], sigma: SigmaParams, cfg: FitConfig
     logits are scattered back to each grid once, at the end.
 
     A scene fails where its own fit would: in preparation, or at a step whose
-    gradient, loss or logit update is not finite.  The loop stops at the
-    first failure in any scene, which may be a later scene's, at an earlier
-    step.  So when a batch of several scenes fails, the scenes are refit one
-    at a time, in order, and the first that fails alone raises its own error,
-    the one that one fit per scene raises first.  A scene computes in the
-    batch what it computes alone, so one of them fails; were none to, the
-    batch's own error would be raised.
+    gradient, loss or logit update is not finite.  The loop raises the first
+    failure it meets, in any scene, which may be a later scene's, at an
+    earlier step.
     """
-    try:
-        return _fit_loop(scenes, sigma, cfg)
-    except HeatlossError:
-        if len(scenes) > 1:
-            for scene in scenes:
-                _fit_loop([scene], sigma, cfg)
-        raise
-
-
-def _fit_loop(scenes: list[SceneAnnotation], sigma: SigmaParams, cfg: FitConfig) -> list[FitTrace]:
-    """The loop of :func:`_fit_batch`; it raises the first failure it meets, in any scene."""
     heats, classes, counts, logits = zip(*(_class_vector(scene, sigma, cfg) for scene in scenes))
     starts = np.cumsum([0] + [heat.size for heat in heats])  # segment j: starts[j]:starts[j + 1]
     heat, counts, theta = (np.concatenate(parts)[None] for parts in (heats, counts, logits))
@@ -294,11 +279,10 @@ def fit_direct(scene: SceneAnnotation, sigma: SigmaParams, cfg: FitConfig) -> Fi
     non-finite loss or logit update raises :class:`NonFiniteLossError`,
     naming the step, and at step 1, before any update, the loss config.
 
-    The fit is the one-scene case of the loop :func:`run_desk_experiment`
-    runs over all its scenes: it fits one logit per pixel class, with one
-    prepared loss, and scatters the logits back to the grid once.
+    The fit is the one-scene case of :func:`_fit_loop`: one logit per pixel
+    class, one prepared loss, and the logits scattered back to the grid once.
     """
-    return _fit_batch([scene], sigma, cfg)[0]
+    return _fit_loop([scene], sigma, cfg)[0]
 
 
 def run_desk_experiment(
@@ -312,13 +296,24 @@ def run_desk_experiment(
     All variants share the same initialization and seeds, so reports are
     comparable; results are ordered by the input variant order.  Each
     variant fits all the scenes in one loop, whose traces equal one
-    :func:`fit_direct` per scene bit for bit, and which raises what the first
-    failing fit raises.
+    :func:`fit_direct` per scene bit for bit.
+
+    The loop's first failure may be a later scene's, at an earlier step, so
+    on a failure the scenes are refit alone, in order, and the first that
+    fails raises its own error, the one that one fit per scene raises first.
+    A scene computes in the loop what it computes alone, so one of them
+    fails; were none to, the loop's own error would be raised.
     """
     if not scenes or not variants:
         raise ValidationError("desk experiment needs at least one scene and one variant")
     results: list[tuple[LossConfig, CountReport]] = []
     for loss_cfg in variants:
-        traces = _fit_batch(scenes, sigma, replace(fit, loss=loss_cfg))
+        cfg = replace(fit, loss=loss_cfg)
+        try:
+            traces = _fit_loop(scenes, sigma, cfg)
+        except HeatlossError:
+            for scene in scenes:
+                _fit_loop([scene], sigma, cfg)
+            raise
         results.append((loss_cfg, compute_metrics([(t.final_count, t.gt_count) for t in traces])))
     return results

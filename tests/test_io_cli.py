@@ -256,6 +256,24 @@ class TestSchemaRejections:
         with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: 'variants' must be non-empty$"):
             load_experiment_config(path, seed=None)
 
+    @pytest.mark.parametrize("part, key, known", [
+        ("", "seed", "scenes, variants, sigma, fit"),
+        (".scenes[0]", "note", "file"),
+    ], ids=["top-level", "scene-file"])
+    def test_experiment_rejects_an_unknown_key(self, tmp_path, part, key, known):
+        """A top-level key would otherwise be ignored, and a file reference read as an annotation."""
+        write_scene(tmp_path / "s.json")
+        path = tmp_path / "experiment.json"
+        obj = {"scenes": [{"file": "s.json"}], "variants": [{"variant": "MASK_FOCAL"}],
+               "sigma": {"eta": 1.0, "eps_sigma": 3.0}, "fit": {"steps": 1, "learning_rate": 0.5}}
+        path.write_text(json.dumps(obj))
+        load_experiment_config(path, seed=None)
+        (obj["scenes"][0] if part else obj)[key] = 3
+        path.write_text(json.dumps(obj))
+        message = f"{path}{part}: unknown key {key!r} (known keys: {known})"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            load_experiment_config(path, seed=None)
+
     @pytest.mark.parametrize("parse, known, key, message", [
         (loss_config_from_obj, {"variant": "MASK_FOCAL", "beta": 0.5}, "gama",
          "loss config: unknown key 'gama' (known keys: variant, alpha, beta, gamma, eps1, clamp)"),
@@ -896,16 +914,24 @@ class TestSynthFitExperimentCommands:
         payload = error_payload(err)
         assert payload["error"] == "SCHEMA_ERROR" and f"{cfg}: unknown key 'gama'" in payload["message"]
 
-    @pytest.mark.parametrize("section, key", [("sigma", "etaa"), ("fit", "recordevery"), ("variant", "gama")])
+    @pytest.mark.parametrize("section, key", [
+        ("sigma", "etaa"), ("fit", "recordevery"), ("variant", "gama"), ("top level", "seed"), ("scene file", "note"),
+    ])
     def test_experiment_rejects_a_misspelled_key(self, tmp_path, capsys, section, key):
+        write_scene(tmp_path / "s.json")
         config = tmp_path / "exp.json"
         obj = {
-            "scenes": [{"width": 16, "height": 16, "boxes": [{"cx": 8.0, "cy": 8.0, "w": 5.0, "h": 5.0}]}],
+            "scenes": [
+                {"width": 16, "height": 16, "boxes": [{"cx": 8.0, "cy": 8.0, "w": 5.0, "h": 5.0}]},
+                {"file": "s.json"},
+            ],
             "variants": [{"variant": "MASK_FOCAL"}],
             "sigma": {"eta": 1.0, "eps_sigma": 3.0},
             "fit": {"steps": 2, "learning_rate": 0.5},
         }
-        (obj["variants"][0] if section == "variant" else obj[section])[key] = 5
+        parts = {"sigma": obj["sigma"], "fit": obj["fit"], "variant": obj["variants"][0], "top level": obj,
+                 "scene file": obj["scenes"][1]}
+        parts[section][key] = 5
         config.write_text(json.dumps(obj))
         code, out, err = run_cli(capsys, "experiment", "--config", str(config), "--seed", "1",
                                  "--out", str(tmp_path / "r.json"))
