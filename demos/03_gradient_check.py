@@ -8,7 +8,7 @@ should sit far below the 1e-6 contract.
 import time
 
 from heatloss import LossVariant
-from heatloss.cli import max_grad_deviation
+from heatloss.losses import max_grad_deviation
 
 print("max relative deviation |analytic - finite difference| / (1 + |analytic|)")
 print(f"{'variant':20s} {'deviation':>12s} {'seconds':>8s}")

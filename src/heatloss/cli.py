@@ -15,23 +15,19 @@ import json
 import sys
 # perfbench/tracing.py saves and restores ``heatloss.cli.ThreadPoolExecutor`` by name
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from pathlib import Path
 
 import numpy as np
 
 from . import serialization as ser
 from .counting import DEFAULT_THRESHOLD, DEFAULT_WINDOW, compute_metrics, extract_peaks
 from .errors import HeatlossError, SchemaError, ValidationError
-from .grid import Grid, _check_addressable, read_grid, read_grid_csv, write_grid, write_grid_csv
+from .grid import Grid, read_grid, read_grid_csv, write_grid, write_grid_csv
 from .ground_truth import SigmaParams, interpolate_boxes, render_heatmap, render_mask
 from .ground_truth import SceneAnnotation
-from .losses import _BINARY_GT_VARIANTS, _MASK_VARIANTS, GroundTruthBundle, LossConfig, LossVariant
-from .losses import LossStep, _loss_scale, _loss_values, loss_with_grad
+from .losses import GroundTruthBundle, LossVariant, loss_with_grad, max_grad_deviation
 from .synth import FitConfig, InitMode, SynthParams, fit_direct, generate_scene, run_desk_experiment
 
 GRAD_CHECK_TOLERANCE = 1e-6
-_FD_BLOCK = 64  # one-hot perturbations per finite-difference batch; bounds grad-check memory
-_FD_STEP = 1e-6  # central-difference half step
 _EXIT_CODES = {
     "SCHEMA_ERROR": 2,
     "DIM_MISMATCH": 3,
@@ -104,60 +100,6 @@ def _cmd_eval_loss(args: argparse.Namespace) -> int:
     _write_grid_auto(result.grad, args.grad_out)
     ser.dump_loss_report(result.value, args.grad_out, args.report_out, result.degenerate_n)
     return 0
-
-
-def random_instance(
-    variant: LossVariant, rng: np.random.Generator, size: int | tuple[int, int] = 8
-) -> tuple[Grid, GroundTruthBundle, LossConfig]:
-    """A random prediction/ground-truth/config triple valid for ``variant``.
-
-    ``size`` is the side of a square grid or a ``(height, width)`` shape.
-    Predictions stay inside [0.05, 0.95] and at least 1e-3 away from the
-    prediction-error kink so finite differences are well posed.
-    """
-    cfg = LossConfig(
-        variant=variant,
-        alpha=float(rng.choice([0.25, 0.5, 1.0])),
-        beta=float(rng.choice([0.0, 0.5, 1.0, 2.0, 4.0])),
-        gamma=float(rng.choice([0.0, 0.5, 1.0, 2.0, 4.0])),
-        eps1=float(rng.choice([0.0, 0.5, 1.0])),
-    )
-    shape = (size, size) if isinstance(size, int) else tuple(size)
-    if variant in _BINARY_GT_VARIANTS:
-        heat = rng.integers(0, 2, size=shape).astype(np.float64)
-    elif variant in _MASK_VARIANTS:
-        inside = rng.random(shape) < 0.5
-        heat = np.where(inside, rng.uniform(0.05, 1.0, shape), 0.0)
-        heat = np.where((rng.random(shape) < 0.1) & inside, 1.0, heat)
-    else:
-        heat = rng.uniform(0.0, 1.0, shape)
-        heat = np.where(rng.random(shape) < 0.1, 1.0, heat)
-    pred = rng.uniform(0.05, 0.95, shape)
-    pred = np.where(np.abs(pred - heat) < 1e-3, pred + 2e-3, pred)
-    bundle = GroundTruthBundle(Grid(heat), int(rng.integers(1, 6)))
-    return Grid(pred), bundle, cfg
-
-
-def max_grad_deviation(variant: LossVariant, size: int, instances: int, seed: int) -> float:
-    """Max relative deviation between analytic gradients and central differences."""
-    if size < 1 or instances < 1 or seed < 0:
-        raise ValidationError(f"need size >= 1, instances >= 1, seed >= 0; got {size}, {instances}, {seed}")
-    _check_addressable(size, size)
-    n, worst, rng = size * size, 0.0, np.random.default_rng(seed)
-    for _ in range(instances):
-        pred, bundle, cfg = random_instance(variant, rng, size)
-        grad = loss_with_grad(pred, bundle, cfg).grad.values.ravel()
-        loss_step = LossStep(bundle.heatmap, cfg, (2 * _FD_BLOCK, size, size), _loss_scale(cfg, bundle.n_objects))
-        fd = np.empty(n)
-        for start in range(0, n, _FD_BLOCK):
-            k = min(_FD_BLOCK, n - start)
-            # one-hot rows start..start+k-1; the last block's rows past n are zero, unperturbed padding
-            eye = np.eye(_FD_BLOCK, n, start).reshape(_FD_BLOCK, size, size)
-            values = _loss_values(loss_step, np.concatenate([pred.values + _FD_STEP * eye, pred.values - _FD_STEP * eye]))[0]
-            fd[start : start + k] = (values[:k] - values[_FD_BLOCK : _FD_BLOCK + k]) / (2.0 * _FD_STEP)
-        deviation = np.abs(grad - fd) / (1.0 + np.abs(grad))
-        worst = max(worst, float(deviation.max()))
-    return worst
 
 
 def _cmd_grad_check(args: argparse.Namespace) -> int:
@@ -235,11 +177,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     scenes, variants, sigma, fit_cfg = ser.load_experiment_config(args.config, args.seed)
-    results = [
-        {"variant": ser.loss_config_to_obj(cfg), "report": ser.count_report_to_obj(report)}
-        for cfg, report in run_desk_experiment(scenes, variants, sigma, fit_cfg)
-    ]
-    Path(args.out).write_text(json.dumps(results, indent=2) + "\n")
+    ser.dump_experiment_report(run_desk_experiment(scenes, variants, sigma, fit_cfg), args.out)
     return 0
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .grid import Grid
+from .grid import Grid, _check_float_sized
 from .ground_truth import SceneAnnotation
 
 DEFAULT_WINDOW = 3
@@ -171,9 +171,11 @@ def compute_metrics(per_image: list[tuple[int, int]]) -> CountReport:
     for i, (p, t) in enumerate(pairs):
         if p < 0 or t < 0:
             raise ValidationError(f"per_image[{i}]: counts must be >= 0, got pred {p}, truth {t}")
+        _check_float_sized(f"per_image[{i}]: pred - truth", p - t)
     errors = np.array([p - t for p, t in pairs], dtype=np.float64)
-    mae = float(np.mean(np.abs(errors)))
-    rmse = float(math.sqrt(np.mean(errors * errors)))
+    with np.errstate(over="ignore"):  # a sum past the float64 range is inf
+        mae = float(np.mean(np.abs(errors)))
+        rmse = float(math.sqrt(np.mean(errors * errors)))
     return CountReport(per_image=pairs, mae=mae, rmse=rmse, m=len(pairs))
 
 

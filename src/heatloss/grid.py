@@ -69,6 +69,12 @@ def _check_addressable(height: int, width: int) -> None:
         raise ValidationError(f"a {width}x{height} grid is too large: numpy cannot address its float64 values")
 
 
+def _check_float_sized(name: str, *values: int) -> None:
+    """Reject integers that ``float`` cannot convert: from ``2**1024 - 2**970`` on they round past float64's range."""
+    if any(abs(v) >= 2**1024 - 2**970 for v in values):
+        raise ValidationError(f"{name} must fit a float64 (magnitude below 2**1024 - 2**970)")
+
+
 def write_grid(grid: Grid, path: str | Path) -> None:
     """Write ``grid`` in the binary format (header + little-endian float32)."""
     with np.errstate(over="ignore"):

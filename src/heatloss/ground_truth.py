@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .grid import Grid, _check_addressable
+from .grid import Grid, _check_addressable, _check_float_sized
 
 TILE = 16  # side of the square pixel tiles render_heatmap culls boxes on
 
@@ -116,6 +116,7 @@ def compute_sigma(box: BoxAnnotation, params: SigmaParams) -> float:
 def _output_shape(scene: SceneAnnotation, stride: int) -> tuple[int, int]:
     if stride < 1:
         raise ValidationError(f"stride must be >= 1, got {stride}")
+    _check_float_sized("stride", stride)
     shape = -(-scene.height // stride), -(-scene.width // stride)
     _check_addressable(*shape)
     return shape

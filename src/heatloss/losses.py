@@ -52,6 +52,8 @@ it checks that the predictions lie in ``[0, 1]`` (a fit's are its own
 sigmoid) and, like the fit, evaluates and sums, one pairwise sum per
 flattened grid, under one ``np.errstate(all="ignore")``.  Callers check
 finiteness; the kernel and ``terms`` run under their caller's error state.
+:func:`max_grad_deviation` checks the analytic gradient against central
+differences of ``_loss_values`` on :func:`random_instance` draws.
 """
 
 from __future__ import annotations
@@ -63,7 +65,10 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .grid import Grid
+from .grid import Grid, _check_addressable, _check_float_sized
+
+_FD_BLOCK = 64  # one-hot perturbations per finite-difference batch; bounds grad-check memory
+_FD_STEP = 1e-6  # central-difference half step
 
 
 class LossVariant(Enum):
@@ -139,6 +144,7 @@ class GroundTruthBundle:
             raise ValidationError("heatmap values must lie in [0, 1]")
         if self.n_objects < 0:
             raise ValidationError(f"n_objects must be >= 0, got {self.n_objects}")
+        _check_float_sized("n_objects", self.n_objects)
 
 
 @dataclass(frozen=True)
@@ -341,3 +347,57 @@ def _loss_values(step: LossStep, preds: np.ndarray, with_grad: bool = False) -> 
         # one pairwise sum per flattened grid
         totals = term.reshape(preds.shape[:-2] + (preds.shape[-2] * preds.shape[-1],)).sum(axis=-1)
         return step.scale * totals, grad
+
+
+def random_instance(
+    variant: LossVariant, rng: np.random.Generator, size: int | tuple[int, int] = 8
+) -> tuple[Grid, GroundTruthBundle, LossConfig]:
+    """A random prediction/ground-truth/config triple valid for ``variant``.
+
+    ``size`` is the side of a square grid or a ``(height, width)`` shape.
+    Predictions stay inside [0.05, 0.95] and at least 1e-3 away from the
+    prediction-error kink so finite differences are well posed.
+    """
+    cfg = LossConfig(
+        variant=variant,
+        alpha=float(rng.choice([0.25, 0.5, 1.0])),
+        beta=float(rng.choice([0.0, 0.5, 1.0, 2.0, 4.0])),
+        gamma=float(rng.choice([0.0, 0.5, 1.0, 2.0, 4.0])),
+        eps1=float(rng.choice([0.0, 0.5, 1.0])),
+    )
+    shape = (size, size) if isinstance(size, int) else tuple(size)
+    if variant in _BINARY_GT_VARIANTS:
+        heat = rng.integers(0, 2, size=shape).astype(np.float64)
+    elif variant in _MASK_VARIANTS:
+        inside = rng.random(shape) < 0.5
+        heat = np.where(inside, rng.uniform(0.05, 1.0, shape), 0.0)
+        heat = np.where((rng.random(shape) < 0.1) & inside, 1.0, heat)
+    else:
+        heat = rng.uniform(0.0, 1.0, shape)
+        heat = np.where(rng.random(shape) < 0.1, 1.0, heat)
+    pred = rng.uniform(0.05, 0.95, shape)
+    pred = np.where(np.abs(pred - heat) < 1e-3, pred + 2e-3, pred)
+    bundle = GroundTruthBundle(Grid(heat), int(rng.integers(1, 6)))
+    return Grid(pred), bundle, cfg
+
+
+def max_grad_deviation(variant: LossVariant, size: int, instances: int, seed: int) -> float:
+    """Max relative deviation between analytic gradients and central differences."""
+    if size < 1 or instances < 1 or seed < 0:
+        raise ValidationError(f"need size >= 1, instances >= 1, seed >= 0; got {size}, {instances}, {seed}")
+    _check_addressable(size, size)
+    n, worst, rng = size * size, 0.0, np.random.default_rng(seed)
+    for _ in range(instances):
+        pred, bundle, cfg = random_instance(variant, rng, size)
+        grad = loss_with_grad(pred, bundle, cfg).grad.values.ravel()
+        loss_step = LossStep(bundle.heatmap, cfg, (2 * _FD_BLOCK, size, size), _loss_scale(cfg, bundle.n_objects))
+        fd = np.empty(n)
+        for start in range(0, n, _FD_BLOCK):
+            k = min(_FD_BLOCK, n - start)
+            # one-hot rows start..start+k-1; the last block's rows past n are zero, unperturbed padding
+            eye = np.eye(_FD_BLOCK, n, start).reshape(_FD_BLOCK, size, size)
+            values = _loss_values(loss_step, np.concatenate([pred.values + _FD_STEP * eye, pred.values - _FD_STEP * eye]))[0]
+            fd[start : start + k] = (values[:k] - values[_FD_BLOCK : _FD_BLOCK + k]) / (2.0 * _FD_STEP)
+        deviation = np.abs(grad - fd) / (1.0 + np.abs(grad))
+        worst = max(worst, float(deviation.max()))
+    return worst

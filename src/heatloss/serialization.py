@@ -9,6 +9,7 @@ dump/load cycle is value-exact.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -22,13 +23,21 @@ from .synth import FitConfig, FitTrace
 def _load_json(path: str | Path) -> Any:
     try:
         return json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, non-UTF-8 bytes, integer literals past 4300 digits
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def _is_kind(value: Any, kind: type) -> bool:
     """Whether a JSON value is of ``kind``: ``float`` takes any number, and a bool is never a number."""
     return isinstance(value, (int, float) if kind is float else kind) and not isinstance(value, bool)
+
+
+def _as_float(value: int | float) -> float:
+    """``float(value)``, reading an integer beyond the float64 range as +-inf, as ``json`` reads ``1e400``."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _require(obj: dict, key: str, kind: type, where: str) -> Any:
@@ -40,7 +49,7 @@ def _require(obj: dict, key: str, kind: type, where: str) -> Any:
     value = obj[key]
     if not _is_kind(value, kind):
         raise SchemaError(f"{where}: key {key!r} has wrong type {type(value).__name__}")
-    return float(value) if kind is float else value
+    return _as_float(value) if kind is float else value
 
 
 def _fields(obj: Any, where: str, required: dict[str, type], optional: dict[str, type]) -> dict[str, Any]:
@@ -107,7 +116,7 @@ def load_points(path: str | Path) -> list[tuple[float, float]]:
     for i, entry in enumerate(raw):
         if not (isinstance(entry, list) and len(entry) == 2 and all(_is_kind(v, float) for v in entry)):
             raise SchemaError(f"{path}.points[{i}]: expected [x, y] numbers")
-        points.append((float(entry[0]), float(entry[1])))
+        points.append((_as_float(entry[0]), _as_float(entry[1])))
     return points
 
 
@@ -157,6 +166,11 @@ def count_report_to_obj(report: CountReport) -> dict:
 
 def dump_count_report(report: CountReport, path: str | Path) -> None:
     Path(path).write_text(json.dumps(count_report_to_obj(report), indent=2) + "\n")
+
+
+def dump_experiment_report(results: list[tuple[LossConfig, CountReport]], path: str | Path) -> None:
+    objs = [{"variant": loss_config_to_obj(cfg), "report": count_report_to_obj(report)} for cfg, report in results]
+    Path(path).write_text(json.dumps(objs, indent=2) + "\n")
 
 
 def load_count_pairs(path: str | Path) -> list[tuple[int, int]]:

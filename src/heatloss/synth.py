@@ -21,7 +21,7 @@ import numpy as np
 
 from .counting import count_image, compute_metrics, CountReport
 from .errors import HeatlossError, NonFiniteLossError, PlacementError, ValidationError
-from .grid import Grid
+from .grid import Grid, _check_float_sized
 from .ground_truth import BoxAnnotation, SceneAnnotation, SigmaParams
 from .ground_truth import render_binary_map, render_heatmap, render_mask
 from .losses import _BINARY_GT_VARIANTS, _MASK_VARIANTS, GroundTruthBundle, LossConfig, LossStep, LossVariant
@@ -74,6 +74,7 @@ class SynthParams:
         _check_seed(self.seed)
         if self.width < 1 or self.height < 1:
             raise ValidationError(f"scene dimensions must be >= 1, got {self.width}x{self.height}")
+        _check_float_sized("scene dimensions", self.width, self.height)
         if self.n_heads < 0:
             raise ValidationError(f"n_heads must be >= 0, got {self.n_heads}")
         lo, hi = self.size_range
@@ -147,7 +148,7 @@ def generate_scene(params: SynthParams) -> SceneAnnotation:
     """
     boxes: list[BoxAnnotation] = []
     xs, ys = np.empty(0), np.empty(0)
-    gap_sq = params.min_center_gap**2
+    gap_sq = params.min_center_gap * params.min_center_gap  # `**` would raise past 1e154
     for head in range(params.n_heads):
         stream = _UniformStream(params.seed, head)
         for _ in range(_PLACEMENT_ATTEMPTS):

@@ -20,7 +20,6 @@ from heatloss import (
     loss_with_grad,
     supervision_bundle,
 )
-from heatloss.cli import random_instance  # noqa: F401  (re-exported for the tests)
 from heatloss.losses import LossStep, _loss_scale
 from heatloss.synth import expit
 

@@ -33,11 +33,11 @@ from heatloss import (
     loss_with_grad,
     sigma_from_sensing_factor,
 )
-from heatloss.cli import max_grad_deviation
 from heatloss.ground_truth import BoxAnnotation
 from heatloss.serialization import dump_fit_trace_csv, peaks_to_obj
 from heatloss.grid import write_grid
-from helpers import brute_force_peaks, random_instance
+from heatloss.losses import max_grad_deviation, random_instance
+from helpers import brute_force_peaks
 
 GRAD_TOL = 1e-6
 IDENTITY_TOL = 1e-12

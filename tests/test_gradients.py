@@ -13,8 +13,7 @@ from heatloss import (
     batched_loss_values,
     loss_with_grad,
 )
-from heatloss.cli import max_grad_deviation
-from helpers import random_instance
+from heatloss.losses import max_grad_deviation, random_instance
 
 
 @pytest.mark.parametrize("variant", list(LossVariant))

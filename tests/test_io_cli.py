@@ -1,5 +1,7 @@
 """File formats and the command-line surface."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -211,7 +213,7 @@ class TestExitCodes:
                 result = loss_with_grad(pred, gt, cfg)
                 return replace(result, grad=Grid(2.0 * result.grad.values))
 
-            monkeypatch.setattr("heatloss.cli.loss_with_grad", doubled_gradient)
+            monkeypatch.setattr("heatloss.losses.loss_with_grad", doubled_gradient)
             return ["grad-check", "--variant", "MASK_FOCAL", "--size", "4", "--instances", "1", "--seed", "1"]
         assert code == "IO_ERROR"
         return ["peaks", "--heatmap", str(tmp_path / "missing.grid"), "--out", str(tmp_path / "p.json")]
@@ -314,6 +316,142 @@ class TestUnreadableJson:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert error_payload(err)["error"] == "SCHEMA_ERROR"
+
+
+BEYOND_FLOAT64 = 10**400  # float() raises OverflowError on it
+
+
+def number_slots(obj, path=()):
+    """The key path of every number in a JSON value."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return [path] if isinstance(obj, (int, float)) else []
+    return [slot for key, value in items for slot in number_slots(value, path + (key,))]
+
+
+def passing_call(command, d):
+    """JSON inputs by file name and the argv of a ``command`` call on them that exits 0, all under ``d``."""
+    box = {"cx": 8.0, "cy": 6.0, "w": 4.0, "h": 5.0}
+    scene = {"width": 16, "height": 12, "boxes": [box]}
+    if command == "render-gt":
+        return {"scene.json": scene}, ["render-gt", "--annotation", str(d / "scene.json"),
+                                       "--heatmap-out", str(d / "h.grid"), "--mask-out", str(d / "m.grid")]
+    if command == "fit":
+        loss = {"variant": "MASK_FOCAL_POLY1", "alpha": 1.0, "beta": 0.5, "gamma": 2, "eps1": 0.5, "clamp": 1e-4}
+        return {"scene.json": scene, "loss.json": loss}, [
+            "fit", "--annotation", str(d / "scene.json"), "--loss-config", str(d / "loss.json"),
+            "--steps", "2", "--learning-rate", "0.5", "--seed", "1"]
+    if command == "interpolate":
+        anchors = {"anchors": [box, {"cx": 2.0, "cy": 3.0, "w": 6.0, "h": 7.0}]}
+        return {"anchors.json": anchors, "points.json": {"points": [[5.0, 5.5], [1, 2]]}}, [
+            "interpolate", "--anchors", str(d / "anchors.json"), "--points", str(d / "points.json"),
+            "--width", "16", "--height", "12", "--out", str(d / "out.json")]
+    assert command == "eval-count"
+    counts = {"per_image": [{"pred": 3, "truth": 2}, {"pred": 0, "truth": 1}]}
+    return {"counts.json": counts}, ["eval-count", "--counts", str(d / "counts.json"), "--out", str(d / "out.json")]
+
+
+class TestNumbersBeyondFloat64:
+    """An integer that float64 cannot hold fails with the error object of the check that guards its value."""
+
+    @staticmethod
+    def failing_argv(case, d):
+        if case == "eval-loss --n-objects":
+            write_grid(Grid(np.full((2, 2), 0.5)), d / "pred.grid")
+            write_grid(Grid(np.eye(2)), d / "heat.grid")
+            (d / "loss.json").write_text(json.dumps({"variant": "MASK_FOCAL"}))
+            return ["eval-loss", "--pred", str(d / "pred.grid"), "--heatmap", str(d / "heat.grid"),
+                    "--n-objects", str(BEYOND_FLOAT64), "--loss-config", str(d / "loss.json"),
+                    "--report-out", str(d / "r.json"), "--grad-out", str(d / "g.grid")]
+        if case.startswith("synth"):
+            gap = case == "synth --min-gap 1e200"
+            return ["synth", "--seed", "1", "--width", "8" if gap else str(BEYOND_FLOAT64), "--height", "8",
+                    "--n-heads", "2", "--min-gap", "1e200" if gap else "0", "--out", str(d / "s.json")]
+        inputs, argv = passing_call(case.split()[0], d)
+        if case == "render-gt cx":
+            inputs["scene.json"]["boxes"][0]["cx"] = BEYOND_FLOAT64
+        elif case == "render-gt --stride":
+            argv += ["--stride", str(BEYOND_FLOAT64)]
+        elif case == "fit alpha":
+            inputs["loss.json"]["alpha"] = BEYOND_FLOAT64
+        elif case == "interpolate point":
+            inputs["points.json"]["points"][0] = [BEYOND_FLOAT64, 1]
+        else:
+            inputs["counts.json"]["per_image"][0]["pred"] = BEYOND_FLOAT64
+        for name, obj in inputs.items():
+            text = json.dumps(obj)
+            if case == "eval-count 4301-digit literal":  # json.dumps cannot write it either
+                text = text.replace(str(BEYOND_FLOAT64), "1" + "0" * 4300)
+            (d / name).write_text(text)
+        return argv
+
+    @pytest.mark.parametrize("case, status, message", [
+        ("render-gt cx", 4, "box center must be finite, got (inf, 6.0)"),
+        ("fit alpha", 4, "alpha must be finite and > 0, got inf"),
+        ("interpolate point", 4, "query center must be finite, got (inf, 1.0)"),
+        ("eval-count pred", 4, "per_image[0]: pred - truth must fit a float64 (magnitude below 2**1024 - 2**970)"),
+        ("eval-count 4301-digit literal", 2, "Exceeds the limit (4300 digits) for integer string conversion"),
+        ("eval-loss --n-objects", 4, "n_objects must fit a float64 (magnitude below 2**1024 - 2**970)"),
+        ("synth --width", 4, "scene dimensions must fit a float64 (magnitude below 2**1024 - 2**970)"),
+        ("render-gt --stride", 4, "stride must fit a float64 (magnitude below 2**1024 - 2**970)"),
+        ("synth --min-gap 1e200", 5, "could not place head 1 with min_center_gap=1e+200 on a 8x8 scene"),
+    ])
+    def test_fails_with_the_error_object(self, tmp_path, capsys, case, status, message):
+        code, out, err = run_cli(capsys, *self.failing_argv(case, tmp_path))
+        assert code == status and out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+        payload = error_payload(err)
+        assert payload["error"] == {2: "SCHEMA_ERROR", 4: "VALIDATION_ERROR", 5: "INFEASIBLE_PLACEMENT"}[status]
+        assert message in payload["message"]
+
+    def test_one_head_places_at_any_gap(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        code, _, err = run_cli(capsys, "synth", "--seed", "1", "--width", "8", "--height", "8", "--n-heads", "1",
+                               "--min-gap", "1e200", "--out", str(out))
+        assert code == 0 and err == ""
+        assert len(load_scene(out).boxes) == 1
+
+    def test_counts_float64_holds_keep_their_report(self, tmp_path, capsys):
+        """A squared error past the float64 range makes the RMSE inf, without a numpy warning."""
+        counts, out = tmp_path / "counts.json", tmp_path / "report.json"
+        counts.write_text(json.dumps({"per_image": [{"pred": 10**200, "truth": 0}, {"pred": 3, "truth": 4}]}))
+        code, _, err = run_cli(capsys, "eval-count", "--counts", str(counts), "--out", str(out))
+        assert code == 0 and err == ""
+        report = json.loads(out.read_text())
+        assert report["mae"] == (1e200 + 1.0) / 2 and report["rmse"] == math.inf
+        assert report["per_image"] == [{"pred": 10**200, "truth": 0}, {"pred": 3, "truth": 4}]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_any_integer_in_a_number_slot_gives_a_status(self, tmp_path_factory, data):
+        """Beyond 64, a scene side draws only magnitudes past 10**19, which no grid can address, so
+        a render rejects it before allocating; in between it would allocate up to gigabytes."""
+        d = tmp_path_factory.mktemp("slot")
+        inputs, argv = passing_call(data.draw(st.sampled_from(["render-gt", "fit", "interpolate", "eval-count"])), d)
+        name = data.draw(st.sampled_from(sorted(inputs)))
+        *parents, key = data.draw(st.sampled_from(number_slots(inputs[name])))
+        if key in ("width", "height"):
+            value = data.draw(st.integers(-BEYOND_FLOAT64, 64) | st.integers(10**19, BEYOND_FLOAT64))
+        else:
+            value = data.draw(st.integers(-BEYOND_FLOAT64, BEYOND_FLOAT64))
+        obj = inputs[name]
+        for part in parents:
+            obj = obj[part]
+        obj[key] = value
+        for file_name, obj in inputs.items():
+            (d / file_name).write_text(json.dumps(obj))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code == 0:
+            assert err.getvalue() == ""
+        else:
+            assert code in _EXIT_CODES.values()
+            assert err.getvalue().count("\n") == 1
+            assert _EXIT_CODES[error_payload(err.getvalue())["error"]] == code
 
 
 class TestOutOfMemory:

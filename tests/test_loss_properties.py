@@ -30,7 +30,7 @@ from heatloss import (
     generate_scene,
     loss_with_grad,
 )
-from helpers import random_instance
+from heatloss.losses import random_instance
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 POLY_VARIANTS = (LossVariant.POLY1_PIXELWISE, LossVariant.MASK_FOCAL_POLY1)

@@ -19,7 +19,7 @@ from heatloss import (
     focal_scalar,
     loss_with_grad,
 )
-from helpers import random_instance
+from heatloss.losses import random_instance
 
 
 def bundle(heat, n):
