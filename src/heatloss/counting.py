@@ -176,6 +176,8 @@ def compute_metrics(per_image: list[tuple[int, int]]) -> CountReport:
     with np.errstate(over="ignore"):  # a sum past the float64 range is inf
         mae = float(np.mean(np.abs(errors)))
         rmse = float(math.sqrt(np.mean(errors * errors)))
+    if not math.isfinite(rmse):  # e * e >= |e| for integer errors, so the MAE is finite too
+        raise ValidationError("the count errors' mean square overflows float64: the RMSE is not finite")
     return CountReport(per_image=pairs, mae=mae, rmse=rmse, m=len(pairs))
 
 

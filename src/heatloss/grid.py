@@ -7,12 +7,13 @@ bit-stable from the first write onward.
 
 Binary format: one ASCII header line ``GRID <width> <height>\\n`` followed by
 ``width * height`` little-endian 32-bit floats in row-major order.  The sizes
-are positive decimal integers without sign or leading zeros, separated by
-single spaces; a reader rejects any other header.
+are positive decimal integers below 10**19 without sign or leading zeros, one
+space apart; a reader checks the header first and rejects any other header.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -75,6 +76,10 @@ def _check_float_sized(name: str, *values: int) -> None:
         raise ValidationError(f"{name} must fit a float64 (magnitude below 2**1024 - 2**970)")
 
 
+# the header grammar; 19 digits keep int() within Python's limit and exceed any addressable grid
+_HEADER = re.compile(rb"GRID ([1-9][0-9]{0,18}) ([1-9][0-9]{0,18})")
+
+
 def write_grid(grid: Grid, path: str | Path) -> None:
     """Write ``grid`` in the binary format (header + little-endian float32)."""
     with np.errstate(over="ignore"):
@@ -87,29 +92,16 @@ def write_grid(grid: Grid, path: str | Path) -> None:
 
 def read_grid(path: str | Path) -> Grid:
     """Read a binary grid file written by :func:`write_grid`."""
-    raw = Path(path).read_bytes()
-    newline = raw.find(b"\n")
-    if newline < 0 or not raw.startswith(b"GRID "):
-        raise SchemaError(f"{path}: not a grid file (missing 'GRID <w> <h>' header)")
-    fields = raw[:newline].decode("ascii", errors="replace").split()
-    if len(fields) != 3:
-        raise SchemaError(f"{path}: malformed grid header {fields!r}")
-    try:
-        width, height = int(fields[1]), int(fields[2])
-    except ValueError as exc:
-        raise SchemaError(f"{path}: non-integer grid dimensions in header") from exc
-    if width < 1 or height < 1:
-        raise SchemaError(f"{path}: grid dimensions must be positive, got {width}x{height}")
-    body = raw[newline + 1 :]
+    header, newline, body = Path(path).read_bytes().partition(b"\n")
+    sizes = _HEADER.fullmatch(header)
+    if not newline or sizes is None:
+        raise SchemaError(f"{path}: grid header {header[:64]!r} is not 'GRID <width> <height>' and a newline, "
+                          "with positive decimal sizes below 10**19, no sign or leading zero, one space apart")
+    width, height = int(sizes[1]), int(sizes[2])
     expected = width * height * 4
     if len(body) != expected:
         raise SchemaError(f"{path}: expected {expected} payload bytes, found {len(body)}")
-    grid = Grid(np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(height, width))
-    # last, so a file that fails an earlier check still reports that failure
-    header = f"GRID {width} {height}".encode("ascii")
-    if raw[:newline] != header:
-        raise SchemaError(f"{path}: non-canonical grid header {raw[:newline]!r}, expected {header!r}")
-    return grid
+    return Grid(np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(height, width))
 
 
 def write_grid_csv(grid: Grid, path: str | Path) -> None:

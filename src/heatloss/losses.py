@@ -312,7 +312,8 @@ def loss_with_grad(pred: Grid, gt: GroundTruthBundle, cfg: LossConfig) -> LossRe
     """Evaluate ``cfg.variant`` on ``pred`` against ``gt``.
 
     The gradient is analytic and matches central finite differences of the
-    value (step 1e-6) to 1e-6 relative at clamp-interior predictions.
+    value (step 1e-6) to 1e-6 relative at clamp-interior predictions.  A
+    non-finite gradient or loss sum is a :class:`ValidationError`.
     """
     step = LossStep(gt.heatmap, cfg, pred.shape, _loss_scale(cfg, gt.n_objects))
     value, grad = _loss_values(step, pred.values, with_grad=True)
@@ -320,6 +321,8 @@ def loss_with_grad(pred: Grid, gt: GroundTruthBundle, cfg: LossConfig) -> LossRe
         raise ValidationError(
             "loss gradient is non-finite; alpha, eps1 or gamma is likely too large, or clamp is at or below 2**-54"
         )
+    if not math.isfinite(value):
+        raise ValidationError("the loss sum overflows to a non-finite value; alpha, eps1 or gamma is likely too large")
     degenerate = gt.n_objects == 0 and cfg.variant is not LossVariant.FOCAL_SCALAR
     return LossResult(value=float(value), grad=Grid(grad), degenerate_n=degenerate)
 

@@ -134,6 +134,7 @@ class _UniformStream:
         return (raw >> np.uint64(11)) * 2.0**-53
 
 
+@np.errstate(over="ignore")  # an overflowing square is an offset past 2**511.5, beyond any finite gap_sq
 def generate_scene(params: SynthParams) -> SceneAnnotation:
     """Place ``n_heads`` boxes by per-head rejection sampling.
 
@@ -148,7 +149,7 @@ def generate_scene(params: SynthParams) -> SceneAnnotation:
     """
     boxes: list[BoxAnnotation] = []
     xs, ys = np.empty(0), np.empty(0)
-    gap_sq = params.min_center_gap * params.min_center_gap  # `**` would raise past 1e154
+    gap_sq = params.min_center_gap * params.min_center_gap  # `**` would raise past 1e154; inf from about 1.34e154
     for head in range(params.n_heads):
         stream = _UniformStream(params.seed, head)
         for _ in range(_PLACEMENT_ATTEMPTS):
@@ -158,7 +159,11 @@ def generate_scene(params: SynthParams) -> SceneAnnotation:
             lo, hi = params.size_range
             w = lo + u_w * (hi - lo)
             h = lo + u_h * (hi - lo)
-            if ((cx - xs[:head]) ** 2 + (cy - ys[:head]) ** 2).min(initial=np.inf) >= gap_sq:
+            if math.isinf(gap_sq):  # inf >= inf would accept any pair: compare the distances themselves
+                far = np.hypot(cx - xs[:head], cy - ys[:head]).min(initial=np.inf) >= params.min_center_gap
+            else:  # unnamed temporaries, which numpy reuses in place; naming them would prevent that
+                far = ((cx - xs[:head]) ** 2 + (cy - ys[:head]) ** 2).min(initial=np.inf) >= gap_sq
+            if far:
                 if head == xs.size:
                     xs, ys = (np.concatenate([a, np.empty(head + 1)]) for a in (xs, ys))
                 xs[head], ys[head] = cx, cy

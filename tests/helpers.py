@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from heatloss import (
@@ -16,6 +14,7 @@ from heatloss import (
     SceneAnnotation,
     SigmaParams,
     SynthParams,
+    ValidationError,
     count_image,
     loss_with_grad,
     supervision_bundle,
@@ -119,9 +118,12 @@ def reference_fit(
     losses, magnitudes = [], []
     for step in range(1, cfg.steps + 1):
         pred = expit(theta)
-        result = loss_with_grad(Grid(pred), bundle, cfg.loss)
-        if not math.isfinite(result.value):
-            raise NonFiniteLossError(f"loss became non-finite at step {step}")
+        try:
+            result = loss_with_grad(Grid(pred), bundle, cfg.loss)
+        except ValidationError as exc:  # the loss sum overflowed; a non-finite gradient is re-raised
+            if "loss sum" not in str(exc):
+                raise
+            raise NonFiniteLossError(f"loss became non-finite at step {step}") from exc
         if (step - 1) % cfg.record_every == 0:
             losses.append((step, result.value))
             with np.errstate(all="ignore"):

@@ -313,6 +313,13 @@ class TestComputeMetrics:
         with pytest.raises(ValidationError):
             compute_metrics([])
 
+    def test_rmse_past_the_float64_range_rejected(self):
+        """A report holds finite metrics only; for integer errors e * e >= |e|, so the RMSE overflows first."""
+        assert math.isfinite(compute_metrics([(10**154, 0), (3, 4)]).rmse)
+        message = "the count errors' mean square overflows float64: the RMSE is not finite"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            compute_metrics([(10**200, 0), (3, 4)])
+
     @pytest.mark.parametrize("pairs, message", [
         ([(-3, 2)], "per_image[0]: counts must be >= 0, got pred -3, truth 2"),
         ([(1, 1), (4, 4), (2, -1)], "per_image[2]: counts must be >= 0, got pred 2, truth -1"),

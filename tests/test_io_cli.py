@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -22,17 +23,21 @@ from heatloss import (
     Grid,
     GroundTruthBundle,
     LossConfig,
+    LossVariant,
     SceneAnnotation,
     SchemaError,
     SigmaParams,
     ValidationError,
+    batched_loss_values,
     loss_with_grad,
     read_grid,
     read_grid_csv,
     render_heatmap,
+    render_mask,
     write_grid,
     write_grid_csv,
 )
+from heatloss import cli
 from heatloss.cli import _EXIT_CODES, main
 from heatloss.serialization import (
     dump_scene,
@@ -136,22 +141,85 @@ class TestGridFormats:
         np.testing.assert_array_equal(reread.values.astype(np.float32), values)
 
 
+HEADER_RULE = ("is not 'GRID <width> <height>' and a newline, "
+               "with positive decimal sizes below 10**19, no sign or leading zero, one space apart")
+
+
+def reference_read_grid(raw):
+    """The header rule spelled step by step, without the reader's pattern: ASCII decimal fields, each
+    size ``int() > 0``, the header exactly ``GRID <w> <h>`` as ``%d`` writes it, then the payload length.
+    Returns the values, or None for a file the rule rejects."""
+    header, newline, body = raw.partition(b"\n")
+    fields = header.split(b" ")
+    if not newline or len(fields) != 3 or fields[0] != b"GRID" or not all(f.isdigit() for f in fields[1:]):
+        return None
+    try:
+        width, height = int(fields[1]), int(fields[2])
+    except ValueError:  # past Python's integer-parsing digit limit
+        return None
+    if min(width, height) < 1 or header != b"GRID %d %d" % (width, height) or len(body) != 4 * width * height:
+        return None
+    return np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(height, width)
+
+
+# what a header mutation inserts: digits, separators, signs, a non-ASCII digit and over-long sizes
+HEADER_PIECES = [b"0", b"1", b"2", b"7", b"10", b" ", b"+", b"-", b"_", b".", b"\t", b"\r", b"\n", b"g", b"D",
+                 "\u0661".encode(), "\uff11".encode(), b"1" * 19, b"9" * 20, b"1" * 4301]
+
+
+@st.composite
+def grid_files(draw):
+    """A canonical ``GRID w h`` header or a few byte edits of it, over a payload of about the right length."""
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    header = b"GRID %d %d" % (width, height)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(5, len(header)) | st.integers(0, len(header)))  # mostly in the sizes
+        j = draw(st.integers(i, min(i + 2, len(header))))
+        header = header[:i] + draw(st.sampled_from([b""] + HEADER_PIECES)) + header[j:]
+    sizes = [int(d) for d in re.findall(rb"[0-9]{1,3}", header)[:2]]
+    n = math.prod(sizes) if len(sizes) == 2 else width * height  # the length the header claims, if any
+    payload = np.random.default_rng(draw(st.integers(0, 2**32))).standard_normal(n).astype("<f4").tobytes()
+    cut = draw(st.sampled_from([0, 0, 0, 1, 4, -1, -4]))
+    payload = payload[:len(payload) - cut] if cut > 0 else payload + bytes(-cut)
+    return header + draw(st.sampled_from([b"\n", b"\n", b"\n", b""])) + payload
+
+
 class TestMalformedGridFiles:
+    @pytest.mark.parametrize("name, content, line", [
+        ("missing-field.grid", b"GRID 2\n" + bytes(8), b"GRID 2"),
+        ("extra-field.grid", b"GRID 1 1 1\n" + bytes(4), b"GRID 1 1 1"),
+        ("float-size.grid", b"GRID 1.0 1\n" + bytes(4), b"GRID 1.0 1"),
+        ("word-size.grid", b"GRID w 1\n" + bytes(4), b"GRID w 1"),
+        ("zero-size.grid", b"GRID 0 1\n", b"GRID 0 1"),
+        ("negative-size.grid", b"GRID 1 -2\n", b"GRID 1 -2"),
+        ("no-newline.grid", b"GRID 1 1", b"GRID 1 1"),
+        # int() reads these sizes, but write_grid writes none of them
+        ("underscore-sign.grid", b"GRID 1_0 +1\n" + bytes(40), b"GRID 1_0 +1"),
+        ("plus-sign.grid", b"GRID +1 1\n" + bytes(4), b"GRID +1 1"),
+        ("leading-zero.grid", b"GRID 010 1\n" + bytes(40), b"GRID 010 1"),
+        ("double-space.grid", b"GRID 1  1\n" + bytes(4), b"GRID 1  1"),
+        # the header is checked before the payload, so a non-finite payload does not decide the outcome
+        ("leading-zero-nan.grid", b"GRID 010 1\n" + np.full(10, np.nan, "<f4").tobytes(), b"GRID 010 1"),
+        ("underscore-sign-inf.grid", b"GRID 1_0 +1\n" + np.full(10, np.inf, "<f4").tobytes(), b"GRID 1_0 +1"),
+        # past Python's 4300-digit integer-parsing limit; the message quotes the first 64 bytes
+        ("huge-size.grid", b"GRID " + b"1" * 4301 + b" 1\n", b"GRID " + b"1" * 59),
+        # a size int() reads, but the 4301-digit payload length it implies cannot be printed
+        ("long-size.grid", b"GRID 11 " + b"1" * 4300 + b"\n" + bytes(8), b"GRID 11 " + b"1" * 56),
+        ("crlf.grid", b"GRID 1 1\r\n" + bytes(4), b"GRID 1 1\r"),
+        ("tab.grid", b"GRID 1\t1\n" + bytes(4), b"GRID 1\t1"),
+        ("arabic-digit.grid", "GRID \u0661 1\n".encode() + bytes(4), "GRID \u0661 1".encode()),
+    ])
+    def test_header_errors_are_one_schema_error(self, tmp_path, capsys, name, content, line):
+        heat = tmp_path / name
+        heat.write_bytes(content)
+        code, out, err = run_cli(capsys, "peaks", "--heatmap", str(heat), "--out", str(tmp_path / "p.json"))
+        assert code == 2 and out == ""
+        assert error_payload(err) == {"error": "SCHEMA_ERROR", "message": f"{heat}: grid header {line!r} {HEADER_RULE}"}
+        assert not (tmp_path / "p.json").exists()
+
     @pytest.mark.parametrize("name, content, needle", [
-        ("missing-field.grid", b"GRID 2\n" + bytes(8), "malformed grid header"),
-        ("extra-field.grid", b"GRID 1 1 1\n" + bytes(4), "malformed grid header"),
-        ("float-size.grid", b"GRID 1.0 1\n" + bytes(4), "non-integer"),
-        ("word-size.grid", b"GRID w 1\n" + bytes(4), "non-integer"),
-        ("zero-size.grid", b"GRID 0 1\n", "must be positive"),
-        ("negative-size.grid", b"GRID 1 -2\n", "must be positive"),
         ("truncated.grid", b"GRID 2 2\n" + bytes(15), "expected 16 payload bytes, found 15"),
         ("long.grid", b"GRID 2 2\n" + bytes(17), "expected 16 payload bytes, found 17"),
-        ("no-newline.grid", b"GRID 1 1", "missing 'GRID <w> <h>' header"),
-        # int() reads these sizes, but write_grid writes none of them
-        ("underscore-sign.grid", b"GRID 1_0 +1\n" + bytes(40), "non-canonical grid header"),
-        ("plus-sign.grid", b"GRID +1 1\n" + bytes(4), "non-canonical grid header"),
-        ("leading-zero.grid", b"GRID 010 1\n" + bytes(40), "non-canonical grid header"),
-        ("double-space.grid", b"GRID 1  1\n" + bytes(4), "non-canonical grid header"),
         ("ragged.csv", b"0.1,0.2\n0.3\n", "malformed grid CSV"),
         ("empty-field.csv", b"0.1,,0.2\n", "malformed grid CSV"),
         ("empty-row-fields.csv", b"0.1,0.2\n,\n", "malformed grid CSV"),
@@ -164,6 +232,20 @@ class TestMalformedGridFiles:
         payload = error_payload(err)
         assert payload["error"] == "SCHEMA_ERROR" and needle in payload["message"]
         assert not (tmp_path / "p.json").exists()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(raw=grid_files())
+    def test_reader_accepts_exactly_what_the_reference_rule_accepts(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("header") / "g.grid"
+        path.write_bytes(raw)
+        expected = reference_read_grid(raw)
+        if expected is None:
+            with pytest.raises(SchemaError):
+                read_grid(path)
+        else:
+            got = read_grid(path).values
+            assert got.shape == expected.shape
+            np.testing.assert_array_equal(got, expected)
 
 
 # The documented exit status of each error code (README, Command-line interface).
@@ -414,15 +496,25 @@ class TestNumbersBeyondFloat64:
         assert code == 0 and err == ""
         assert len(load_scene(out).boxes) == 1
 
-    def test_counts_float64_holds_keep_their_report(self, tmp_path, capsys):
-        """A squared error past the float64 range makes the RMSE inf, without a numpy warning."""
+    def test_counts_whose_rmse_overflows_write_no_report(self, tmp_path, capsys):
+        """A squared error past the float64 range would make the RMSE inf, which JSON cannot hold."""
         counts, out = tmp_path / "counts.json", tmp_path / "report.json"
         counts.write_text(json.dumps({"per_image": [{"pred": 10**200, "truth": 0}, {"pred": 3, "truth": 4}]}))
-        code, _, err = run_cli(capsys, "eval-count", "--counts", str(counts), "--out", str(out))
+        code, stdout, err = run_cli(capsys, "eval-count", "--counts", str(counts), "--out", str(out))
+        assert code == 4 and stdout == ""
+        assert error_payload(err) == {
+            "error": "VALIDATION_ERROR",
+            "message": "the count errors' mean square overflows float64: the RMSE is not finite",
+        }
+        assert not out.exists()
+
+    def test_synth_far_beyond_the_square_range_places_without_warning(self, tmp_path, capsys):
+        """Offsets near 10**300 square past the float64 range; the gap test takes them as far apart."""
+        out = tmp_path / "s.json"
+        code, _, err = run_cli(capsys, "synth", "--seed", "1", "--width", str(10**300), "--height", "8",
+                               "--n-heads", "3", "--out", str(out))
         assert code == 0 and err == ""
-        report = json.loads(out.read_text())
-        assert report["mae"] == (1e200 + 1.0) / 2 and report["rmse"] == math.inf
-        assert report["per_image"] == [{"pred": 10**200, "truth": 0}, {"pred": 3, "truth": 4}]
+        assert len(load_scene(out).boxes) == 3
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(data=st.data())
@@ -508,6 +600,21 @@ class TestRenderGtCommand:
         code, _, _ = run_cli(capsys, "render-gt", "--annotation", str(ann), "--mask-out", str(out))
         assert code == 0
         assert read_grid_csv(out).values[16, 16] == 1.0
+
+    @pytest.mark.parametrize("outputs", [
+        combo for k in range(1, 5) for combo in itertools.combinations(
+            ("--heatmap-out", "--mask-out", "--binary-out", "--masked-heatmap-out"), k)
+    ], ids="+".join)
+    def test_mask_renders_only_for_an_output_that_reads_it(self, tmp_path, capsys, monkeypatch, outputs):
+        calls = []
+        monkeypatch.setattr(cli, "render_mask", lambda *a: calls.append(a) or render_mask(*a))
+        ann = tmp_path / "scene.json"
+        write_scene(ann, boxes=((8.0, 8.0, 5.0, 5.0), (24.0, 20.0, 4.0, 7.0)))
+        argv = [arg for flag in outputs for arg in (flag, str(tmp_path / (flag[2:] + ".grid")))]
+        code, _, err = run_cli(capsys, "render-gt", "--annotation", str(ann), *argv)
+        assert code == 0 and err == ""
+        assert len(calls) == (outputs != ("--heatmap-out",))
+        assert sorted(p.name for p in tmp_path.glob("*.grid")) == sorted(flag[2:] + ".grid" for flag in outputs)
 
     def test_requires_an_output(self, tmp_path, capsys):
         ann = tmp_path / "scene.json"
@@ -721,6 +828,15 @@ class TestGradientOverflow:
         assert payload["error"] == "VALIDATION_ERROR" and message in payload["message"]
         assert not (tmp_path / "r.json").exists()
         assert not (tmp_path / "g.grid").exists()
+
+    def test_loss_with_grad_raises_the_sum_overflow(self):
+        """Every pixel sits on the clamp, so the gradient is 0, but 1600 terms of about 1e306 overflow their
+        sum.  The value-only batched_loss_values returns the overflowed value for its caller to judge."""
+        pred, gt = Grid(np.ones((40, 40))), GroundTruthBundle(Grid(np.zeros((40, 40))), 1)
+        cfg = LossConfig(LossVariant.POLY1_PIXELWISE, eps1=1e306, gamma=0.0)
+        with pytest.raises(ValidationError, match=f"^{re.escape(self.SUM_OVERFLOW)}$"):
+            loss_with_grad(pred, gt, cfg)
+        assert batched_loss_values(pred.values[None], gt, cfg).tolist() == [math.inf]
 
     @pytest.mark.parametrize("loss,pred", [
         # q^gamma underflows to 0 while gamma ln(1 - q) overflows to -inf at the background 0.9

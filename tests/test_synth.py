@@ -1,5 +1,6 @@
 """Synthetic scenes and the direct gradient-descent fitting harness."""
 
+import itertools
 import math
 import re
 import warnings
@@ -85,6 +86,15 @@ class TestGenerateScene:
         for i, a in enumerate(scene.boxes):
             for b in scene.boxes[i + 1 :]:
                 assert math.hypot(a.cx - b.cx, a.cy - b.cy) >= 20.0
+
+    @pytest.mark.parametrize("gap", [0.0, 1e200, 2e299], ids=["no-gap", "gap-1e200", "gap-2e299"])
+    def test_gap_holds_where_squares_overflow(self, gap):
+        """Offsets near 10**300 square past the float64 range; from about 1.34e154 the gap's own square does
+        too, and the distance itself decides, so no pair closer than the gap is accepted."""
+        scene = generate_scene(SynthParams(seed=1, width=10**300, height=8, n_heads=3, min_center_gap=gap))
+        assert len(scene.boxes) == 3
+        for a, b in itertools.combinations(scene.boxes, 2):
+            assert math.hypot(a.cx - b.cx, a.cy - b.cy) >= gap
 
     def test_centers_are_integer_pixels_and_sides_in_range(self):
         scene = generate_scene(
