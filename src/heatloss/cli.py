@@ -64,8 +64,7 @@ def _cmd_render_gt(args: argparse.Namespace) -> int:
     outputs = (args.heatmap_out, args.mask_out, args.binary_out, args.masked_heatmap_out)
     if not any(outputs):
         raise SchemaError("render-gt: provide at least one of --heatmap-out/--mask-out/--binary-out/--masked-heatmap-out")
-    if args.mask_out or args.binary_out or args.masked_heatmap_out:
-        mask = render_mask(scene, args.stride)
+    mask = render_mask(scene, args.stride)
     if args.heatmap_out or args.masked_heatmap_out:
         heat = render_heatmap(scene, params, args.stride)
         if args.heatmap_out:

@@ -331,7 +331,8 @@ def batched_loss_values(preds: np.ndarray, gt: GroundTruthBundle, cfg: LossConfi
     """Loss values for a stack of prediction arrays of shape ``(..., H, W)``.
 
     Each value equals :func:`loss_with_grad` on the same 2-D slice bit for
-    bit; used for parameter sweeps and finite-difference verification.
+    bit where that returns; an overflowing sum is ``inf``, for the caller to
+    judge.  Used for parameter sweeps and finite-difference verification.
     """
     preds = np.asarray(preds, dtype=np.float64)
     step = LossStep(gt.heatmap, cfg, preds.shape, _loss_scale(cfg, gt.n_objects))

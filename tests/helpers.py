@@ -23,6 +23,10 @@ from heatloss.losses import LossStep, _loss_scale
 from heatloss.synth import expit
 
 
+# loss_with_grad's message for a loss sum that overflows float64
+SUM_OVERFLOW = "the loss sum overflows to a non-finite value; alpha, eps1 or gamma is likely too large"
+
+
 def brute_force_peaks(values: np.ndarray, window: int, threshold: float) -> list[tuple[int, int]]:
     """Independent nested-loop scan for neighborhood maxima above threshold.
 
@@ -121,7 +125,7 @@ def reference_fit(
         try:
             result = loss_with_grad(Grid(pred), bundle, cfg.loss)
         except ValidationError as exc:  # the loss sum overflowed; a non-finite gradient is re-raised
-            if "loss sum" not in str(exc):
+            if str(exc) != SUM_OVERFLOW:
                 raise
             raise NonFiniteLossError(f"loss became non-finite at step {step}") from exc
         if (step - 1) % cfg.record_every == 0:

@@ -2,7 +2,6 @@
 
 import contextlib
 import io
-import itertools
 import json
 import math
 import os
@@ -33,11 +32,9 @@ from heatloss import (
     read_grid,
     read_grid_csv,
     render_heatmap,
-    render_mask,
     write_grid,
     write_grid_csv,
 )
-from heatloss import cli
 from heatloss.cli import _EXIT_CODES, main
 from heatloss.serialization import (
     dump_scene,
@@ -48,6 +45,7 @@ from heatloss.serialization import (
     scene_from_obj,
     sigma_params_from_obj,
 )
+from helpers import SUM_OVERFLOW
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
 
@@ -601,21 +599,6 @@ class TestRenderGtCommand:
         assert code == 0
         assert read_grid_csv(out).values[16, 16] == 1.0
 
-    @pytest.mark.parametrize("outputs", [
-        combo for k in range(1, 5) for combo in itertools.combinations(
-            ("--heatmap-out", "--mask-out", "--binary-out", "--masked-heatmap-out"), k)
-    ], ids="+".join)
-    def test_mask_renders_only_for_an_output_that_reads_it(self, tmp_path, capsys, monkeypatch, outputs):
-        calls = []
-        monkeypatch.setattr(cli, "render_mask", lambda *a: calls.append(a) or render_mask(*a))
-        ann = tmp_path / "scene.json"
-        write_scene(ann, boxes=((8.0, 8.0, 5.0, 5.0), (24.0, 20.0, 4.0, 7.0)))
-        argv = [arg for flag in outputs for arg in (flag, str(tmp_path / (flag[2:] + ".grid")))]
-        code, _, err = run_cli(capsys, "render-gt", "--annotation", str(ann), *argv)
-        assert code == 0 and err == ""
-        assert len(calls) == (outputs != ("--heatmap-out",))
-        assert sorted(p.name for p in tmp_path.glob("*.grid")) == sorted(flag[2:] + ".grid" for flag in outputs)
-
     def test_requires_an_output(self, tmp_path, capsys):
         ann = tmp_path / "scene.json"
         write_scene(ann)
@@ -791,8 +774,6 @@ class TestGradientOverflow:
 
     POLY1 = {"variant": "POLY1_PIXELWISE", "alpha": 6e307, "gamma": 0.0, "eps1": 1.0}
 
-    SUM_OVERFLOW = "the loss sum overflows to a non-finite value; alpha, eps1 or gamma is likely too large"
-
     @pytest.mark.parametrize("command,loss,message,grids", [
         ("fit", POLY1, "loss gradient became non-finite at step 1", None),
         ("eval-loss", POLY1, "loss gradient is non-finite", None),
@@ -834,7 +815,7 @@ class TestGradientOverflow:
         sum.  The value-only batched_loss_values returns the overflowed value for its caller to judge."""
         pred, gt = Grid(np.ones((40, 40))), GroundTruthBundle(Grid(np.zeros((40, 40))), 1)
         cfg = LossConfig(LossVariant.POLY1_PIXELWISE, eps1=1e306, gamma=0.0)
-        with pytest.raises(ValidationError, match=f"^{re.escape(self.SUM_OVERFLOW)}$"):
+        with pytest.raises(ValidationError, match=f"^{re.escape(SUM_OVERFLOW)}$"):
             loss_with_grad(pred, gt, cfg)
         assert batched_loss_values(pred.values[None], gt, cfg).tolist() == [math.inf]
 
