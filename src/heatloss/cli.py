@@ -20,8 +20,7 @@ from . import serialization as ser
 from .counting import DEFAULT_THRESHOLD, DEFAULT_WINDOW, compute_metrics, extract_peaks
 from .errors import HeatlossError, SchemaError
 from .grid import Grid, read_grid, read_grid_csv, write_grid, write_grid_csv
-from .ground_truth import SigmaParams, interpolate_boxes, render_heatmap, render_mask
-from .ground_truth import SceneAnnotation
+from .ground_truth import SceneAnnotation, SigmaParams, interpolate_boxes, render_heatmap, render_mask
 from .losses import GroundTruthBundle, LossVariant, loss_with_grad, max_grad_deviation
 from .synth import FitConfig, InitMode, SynthParams, fit_direct, generate_scene, run_desk_experiment
 
@@ -54,10 +53,6 @@ def _read_grid_auto(path: str) -> Grid:
     return read_grid(path)
 
 
-def _emit(obj: dict) -> None:
-    print(json.dumps(obj, indent=2))
-
-
 def _cmd_render_gt(args: argparse.Namespace) -> int:
     scene = ser.load_scene(args.annotation)
     params = SigmaParams(eta=args.eta, eps_sigma=args.eps_sigma)
@@ -79,11 +74,8 @@ def _cmd_render_gt(args: argparse.Namespace) -> int:
 
 
 def _cmd_interpolate(args: argparse.Namespace) -> int:
-    anchors = ser.load_anchors(args.anchors)
-    points = ser.load_points(args.points)
-    boxes = interpolate_boxes(anchors, points)
-    scene = SceneAnnotation(width=args.width, height=args.height, boxes=tuple(boxes))
-    ser.dump_scene(scene, args.out)
+    boxes = interpolate_boxes(ser.load_anchors(args.anchors), ser.load_points(args.points))
+    ser.dump_json(SceneAnnotation(width=args.width, height=args.height, boxes=tuple(boxes)), args.out)
     return 0
 
 
@@ -94,7 +86,7 @@ def _cmd_eval_loss(args: argparse.Namespace) -> int:
     bundle = GroundTruthBundle(heatmap=heat, n_objects=args.n_objects)
     result = loss_with_grad(pred, bundle, cfg)
     _write_grid_auto(result.grad, args.grad_out)
-    ser.dump_loss_report(result.value, args.grad_out, args.report_out, result.degenerate_n)
+    ser.dump_json(ser.loss_report_to_obj(result, args.grad_out), args.report_out)
     return 0
 
 
@@ -102,9 +94,9 @@ def _cmd_grad_check(args: argparse.Namespace) -> int:
     variant = LossVariant(args.variant)
     worst = max_grad_deviation(variant, args.size, args.instances, args.seed)
     ok = worst <= GRAD_CHECK_TOLERANCE
-    _emit(
+    ser.dump_json(
         {
-            "variant": variant.value,
+            "variant": variant,
             "instances": args.instances,
             "size": args.size,
             "max_relative_deviation": worst,
@@ -120,14 +112,14 @@ def _cmd_grad_check(args: argparse.Namespace) -> int:
 def _cmd_peaks(args: argparse.Namespace) -> int:
     heatmap = _read_grid_auto(args.heatmap)
     peaks = extract_peaks(heatmap, window=args.window, threshold=args.threshold)
-    ser.dump_peaks(peaks, args.out)
+    ser.dump_json({"peaks": peaks}, args.out)
     return 0
 
 
 def _cmd_eval_count(args: argparse.Namespace) -> int:
     pairs = ser.load_count_pairs(args.counts)
     report = compute_metrics(pairs)
-    ser.dump_count_report(report, args.out)
+    ser.dump_json(ser.count_report_to_obj(report), args.out)
     return 0
 
 
@@ -140,7 +132,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         size_range=(args.min_side, args.max_side),
         min_center_gap=args.min_gap,
     )
-    ser.dump_scene(generate_scene(params), args.out)
+    ser.dump_json(generate_scene(params), args.out)
     return 0
 
 
@@ -160,7 +152,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         ser.dump_fit_trace_csv(trace, args.trace_out)
     if args.pred_out:
         _write_grid_auto(trace.final_pred, args.pred_out)
-    _emit(
+    ser.dump_json(
         {
             "final_count": trace.final_count,
             "gt_count": trace.gt_count,
@@ -173,7 +165,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     scenes, variants, sigma, fit_cfg = ser.load_experiment_config(args.config, args.seed)
-    ser.dump_experiment_report(run_desk_experiment(scenes, variants, sigma, fit_cfg), args.out)
+    ser.dump_json(ser.experiment_report_to_obj(run_desk_experiment(scenes, variants, sigma, fit_cfg)), args.out)
     return 0
 
 

@@ -234,14 +234,17 @@ def interpolate_boxes(
     second-nearest B with weight ``t = d_A / (d_A + d_B)``, applied to width
     and height independently.  A single anchor, or a query sitting exactly on
     an anchor center, copies that anchor's size.  Distance ties are broken by
-    anchor order.
+    anchor order.  A distance past the float64 range reads as inf, which
+    ranks its anchor last; when it is ``d_B``, which ``t`` divides by, the
+    query is a :class:`ValidationError`.
     """
     anchor_xy = np.array([(a.cx, a.cy) for a in anchors.anchors])
     result: list[BoxAnnotation] = []
     for cx, cy in centers:
         if not (math.isfinite(cx) and math.isfinite(cy)):
             raise ValidationError(f"query center must be finite, got ({cx}, {cy})")
-        dists = np.hypot(anchor_xy[:, 0] - cx, anchor_xy[:, 1] - cy)
+        with np.errstate(over="ignore"):
+            dists = np.hypot(anchor_xy[:, 0] - cx, anchor_xy[:, 1] - cy)
         order = np.argsort(dists, kind="stable")
         near = anchors.anchors[order[0]]
         if len(order) == 1 or dists[order[0]] == 0.0:
@@ -249,6 +252,8 @@ def interpolate_boxes(
             continue
         second = anchors.anchors[order[1]]
         d_a, d_b = float(dists[order[0]]), float(dists[order[1]])
+        if math.isinf(d_b):
+            raise ValidationError(f"query center ({cx}, {cy}): the distance to its second-nearest anchor overflows float64")
         t = d_a / (d_a + d_b)
         result.append(
             BoxAnnotation(

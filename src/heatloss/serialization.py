@@ -1,22 +1,27 @@
-"""JSON readers/writers for every declared file format.
+"""JSON readers and the one JSON writer for every declared file format.
 
 Schema problems raise :class:`SchemaError` naming the offending field;
 invariant violations surface as :class:`ValidationError` from the domain
-types.  Floats are serialized with Python's shortest round-trip repr, so a
-dump/load cycle is value-exact.
+types.  :func:`dump_json` writes every JSON output: indented by two spaces,
+ending in a newline, an enum as its value and a dataclass as its fields in
+declaration order.  Floats are serialized with Python's shortest round-trip
+repr, so a dump/load cycle is value-exact.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
+from dataclasses import is_dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Any
 
-from .counting import CountReport, Peak
+from .counting import CountReport
 from .errors import SchemaError
 from .ground_truth import AnchorSet, BoxAnnotation, SceneAnnotation, SigmaParams
-from .losses import LossConfig
+from .losses import LossConfig, LossResult
 from .synth import FitConfig, FitTrace
 
 
@@ -25,6 +30,24 @@ def _load_json(path: str | Path) -> Any:
         return json.loads(Path(path).read_text())
     except (ValueError, RecursionError) as exc:  # bad JSON, non-UTF-8 bytes, integer literals past 4300 digits
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def _json_default(obj: Any) -> Any:
+    """An enum as its value and a dataclass as its fields in declaration order, uncopied."""
+    if isinstance(obj, Enum):
+        return obj.value
+    if is_dataclass(obj):
+        return vars(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def dump_json(obj: Any, path: str | Path | None = None) -> None:
+    """Write ``obj`` as JSON indented by two spaces and ending in a newline, to ``path`` or else to stdout."""
+    text = json.dumps(obj, indent=2, default=_json_default) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
 
 
 def _is_kind(value: Any, kind: type) -> bool:
@@ -75,10 +98,6 @@ def _box_from_obj(obj: dict, where: str) -> BoxAnnotation:
     )
 
 
-def _box_to_obj(box: BoxAnnotation) -> dict:
-    return {"cx": box.cx, "cy": box.cy, "w": box.w, "h": box.h}
-
-
 def scene_from_obj(obj: Any, where: str = "annotation") -> SceneAnnotation:
     width = _require(obj, "width", int, where)
     height = _require(obj, "height", int, where)
@@ -87,20 +106,8 @@ def scene_from_obj(obj: Any, where: str = "annotation") -> SceneAnnotation:
     return SceneAnnotation(width=width, height=height, boxes=boxes)
 
 
-def scene_to_obj(scene: SceneAnnotation) -> dict:
-    return {
-        "width": scene.width,
-        "height": scene.height,
-        "boxes": [_box_to_obj(b) for b in scene.boxes],
-    }
-
-
 def load_scene(path: str | Path) -> SceneAnnotation:
     return scene_from_obj(_load_json(path), where=str(path))
-
-
-def dump_scene(scene: SceneAnnotation, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scene_to_obj(scene), indent=2) + "\n")
 
 
 def load_anchors(path: str | Path) -> AnchorSet:
@@ -125,34 +132,14 @@ def loss_config_from_obj(obj: Any, where: str = "loss config") -> LossConfig:
     return LossConfig(**_fields(obj, where, {"variant": str}, optional))
 
 
-def loss_config_to_obj(cfg: LossConfig) -> dict:
-    return {
-        "variant": cfg.variant.value,
-        "alpha": cfg.alpha,
-        "beta": cfg.beta,
-        "gamma": cfg.gamma,
-        "eps1": cfg.eps1,
-        "clamp": cfg.clamp,
-    }
-
-
 def load_loss_config(path: str | Path) -> LossConfig:
     return loss_config_from_obj(_load_json(path), where=str(path))
 
 
-def dump_loss_report(value: float, grad_file: str, path: str | Path, degenerate_n: bool = False) -> None:
-    report: dict[str, Any] = {"value": value, "grad_file": grad_file}
-    if degenerate_n:
-        report["degenerate_n"] = True
-    Path(path).write_text(json.dumps(report, indent=2) + "\n")
-
-
-def peaks_to_obj(peaks: tuple[Peak, ...]) -> dict:
-    return {"peaks": [{"x": p.x, "y": p.y, "score": p.score} for p in peaks]}
-
-
-def dump_peaks(peaks: tuple[Peak, ...], path: str | Path) -> None:
-    Path(path).write_text(json.dumps(peaks_to_obj(peaks), indent=2) + "\n")
+def loss_report_to_obj(result: LossResult, grad_file: str) -> dict:
+    """The eval-loss report; ``degenerate_n`` appears only when it is true."""
+    degenerate = {"degenerate_n": True} if result.degenerate_n else {}
+    return {"value": result.value, "grad_file": grad_file, **degenerate}
 
 
 def count_report_to_obj(report: CountReport) -> dict:
@@ -164,13 +151,8 @@ def count_report_to_obj(report: CountReport) -> dict:
     }
 
 
-def dump_count_report(report: CountReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(count_report_to_obj(report), indent=2) + "\n")
-
-
-def dump_experiment_report(results: list[tuple[LossConfig, CountReport]], path: str | Path) -> None:
-    objs = [{"variant": loss_config_to_obj(cfg), "report": count_report_to_obj(report)} for cfg, report in results]
-    Path(path).write_text(json.dumps(objs, indent=2) + "\n")
+def experiment_report_to_obj(results: list[tuple[LossConfig, CountReport]]) -> list:
+    return [{"variant": cfg, "report": count_report_to_obj(report)} for cfg, report in results]
 
 
 def load_count_pairs(path: str | Path) -> list[tuple[int, int]]:

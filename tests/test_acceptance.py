@@ -5,7 +5,6 @@ per-criterion PASS lines while the suite runs), or execute the file directly
 with ``python3 tests/test_acceptance.py`` for a plain-text report.
 """
 
-import json
 import math
 import tempfile
 import time
@@ -34,7 +33,7 @@ from heatloss import (
     sigma_from_sensing_factor,
 )
 from heatloss.ground_truth import BoxAnnotation
-from heatloss.serialization import dump_fit_trace_csv, peaks_to_obj
+from heatloss.serialization import dump_fit_trace_csv, dump_json
 from heatloss.grid import write_grid
 from heatloss.losses import max_grad_deviation, random_instance
 from helpers import brute_force_peaks
@@ -261,12 +260,14 @@ def test_criterion_09_sigma_examples_and_monotonicity():
     )
 
 
-def _peaks_payload() -> bytes:
-    blobs = [
-        json.dumps(peaks_to_obj(extract_peaks(Grid(values), window=3, threshold=0.3)))
-        for values in _criterion_06_grids()
-    ]
-    return "\n".join(blobs).encode()
+def _peaks_payload(workdir: Path) -> bytes:
+    """The peaks files ``dump_json`` writes for the criterion 6 grids, concatenated."""
+    blobs = []
+    for i, values in enumerate(_criterion_06_grids()):
+        path = workdir / f"peaks_{i}.json"
+        dump_json({"peaks": extract_peaks(Grid(values), window=3, threshold=0.3)}, path)
+        blobs.append(path.read_bytes())
+    return b"".join(blobs)
 
 
 def _fit_payload(workdir: Path) -> tuple[bytes, bytes]:
@@ -279,8 +280,8 @@ def _fit_payload(workdir: Path) -> tuple[bytes, bytes]:
 
 
 def test_criterion_10_determinism_of_outputs():
-    peaks_same = _peaks_payload() == _peaks_payload()
     with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
+        peaks_same = _peaks_payload(Path(a)) == _peaks_payload(Path(b))
         fit_same = _fit_payload(Path(a)) == _fit_payload(Path(b))
     _report(
         "criterion 10 (repeated peak extraction and desk fits are byte-identical)",

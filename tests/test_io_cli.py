@@ -37,7 +37,7 @@ from heatloss import (
 )
 from heatloss.cli import _EXIT_CODES, main
 from heatloss.serialization import (
-    dump_scene,
+    dump_json,
     fit_config_from_obj,
     load_experiment_config,
     load_scene,
@@ -84,7 +84,7 @@ def run_cli_process(*argv, env=None):
 
 def write_scene(path, width=32, height=32, boxes=((16.0, 16.0, 6.0, 6.0),)):
     scene = SceneAnnotation(width, height, tuple(BoxAnnotation(*b) for b in boxes))
-    dump_scene(scene, path)
+    dump_json(scene, path)
     return scene
 
 
@@ -652,6 +652,38 @@ class TestInterpolateCommand:
         scene = load_scene(out)
         assert [(b.w, b.h) for b in scene.boxes] == [(20.0, 20.0), (15.0, 15.0)]
 
+    NEAR_ANCHORS = [{"cx": 2.0, "cy": 2.0, "w": 4.0, "h": 4.0}, {"cx": 6.0, "cy": 6.0, "w": 8.0, "h": 8.0}]
+
+    def _interpolate(self, capsys, tmp_path, name, anchors, points, width):
+        (tmp_path / f"{name}_anchors.json").write_text(json.dumps({"anchors": anchors}))
+        (tmp_path / f"{name}_points.json").write_text(json.dumps({"points": points}))
+        out = tmp_path / f"{name}_scene.json"
+        code, stdout, err = run_cli(
+            capsys, "interpolate", "--anchors", str(tmp_path / f"{name}_anchors.json"),
+            "--points", str(tmp_path / f"{name}_points.json"), "--width", str(width), "--height", "10", "--out", str(out),
+        )
+        assert stdout == ""
+        return code, err, out
+
+    @pytest.mark.parametrize("case", ["second-nearest anchor", "unused anchor"])
+    def test_an_anchor_distance_beyond_float64(self, tmp_path, capsys, case):
+        """A distance past float64 is inf: an error when ``t`` divides by it, else only a last rank."""
+        if case == "second-nearest anchor":
+            anchors = [{"cx": 1.7e308, "cy": 0.0, "w": 4.0, "h": 4.0}, {"cx": 0.0, "cy": 0.0, "w": 8.0, "h": 8.0}]
+            code, err, out = self._interpolate(capsys, tmp_path, "far", anchors, [[-1.7e308, 0.0]], 10)
+            assert code == 4 and not out.exists()
+            assert error_payload(err) == {
+                "error": "VALIDATION_ERROR",
+                "message": "query center (-1.7e+308, 0.0): the distance to its second-nearest anchor overflows float64",
+            }
+        else:
+            far = {"cx": -1.7e308, "cy": 0.0, "w": 3.0, "h": 3.0}
+            points = [[3.0, 4.0], [1e307, 4.0]]  # the second point's offset from the far anchor overflows
+            code, err, out = self._interpolate(capsys, tmp_path, "far", [*self.NEAR_ANCHORS, far], points, 10**308)
+            assert code == 0 and err == ""
+            assert self._interpolate(capsys, tmp_path, "near", self.NEAR_ANCHORS, points, 10**308)[:2] == (0, "")
+            assert out.read_bytes() == (tmp_path / "near_scene.json").read_bytes()
+
 
     @pytest.mark.parametrize("entry", [[True, 0.0], [1.0], [1.0, "2"], 3.0])
     def test_points_must_be_number_pairs(self, tmp_path, capsys, entry):
@@ -1187,3 +1219,110 @@ class TestSynthFitExperimentCommands:
         assert code == 4 and out == ""
         assert error_payload(err)["error"] == "VALIDATION_ERROR"
         assert not (tmp_path / "r.json").exists()
+
+
+def pick(obj, *keys):
+    """``obj``'s ``keys`` in the order given; a missing key is a KeyError."""
+    return {key: obj[key] for key in keys}
+
+
+def count_report_layout(report):
+    return {**pick(report, "m", "mae", "rmse"), "per_image": [pick(p, "pred", "truth") for p in report["per_image"]]}
+
+
+class TestJsonLayout:
+    """Every JSON output, byte for byte: indented by two spaces, one final newline, keys in README's order.
+
+    Each expected object is rebuilt from the run's own values, so a test pins the layout and the key
+    order of its output, not values that may differ across machines.
+    """
+
+    @staticmethod
+    def assert_layout(text, layout):
+        assert text == json.dumps(layout(json.loads(text)), indent=2) + "\n"
+
+    @staticmethod
+    def scene_layout(scene):
+        return {**pick(scene, "width", "height"), "boxes": [pick(b, "cx", "cy", "w", "h") for b in scene["boxes"]]}
+
+    def test_synth_scene(self, tmp_path, capsys):
+        out = tmp_path / "scene.json"
+        argv = ["synth", "--seed", "3", "--width", "32", "--height", "24", "--n-heads", "3", "--out", str(out)]
+        assert run_cli(capsys, *argv) == (0, "", "")
+        self.assert_layout(out.read_text(), self.scene_layout)
+        assert len(json.loads(out.read_text())["boxes"]) == 3
+
+    def test_interpolate_scene(self, tmp_path, capsys):
+        (tmp_path / "anchors.json").write_text(json.dumps({"anchors": [
+            {"cx": 0.0, "cy": 0.0, "w": 10.0, "h": 12.0}, {"cx": 30.0, "cy": 5.0, "w": 4.0, "h": 6.0},
+        ]}))
+        (tmp_path / "points.json").write_text(json.dumps({"points": [[7, 2.5], [20.25, 1]]}))
+        out = tmp_path / "scene.json"
+        argv = ["interpolate", "--anchors", str(tmp_path / "anchors.json"), "--points", str(tmp_path / "points.json"),
+                "--width", "40", "--height", "8", "--out", str(out)]
+        assert run_cli(capsys, *argv) == (0, "", "")
+        self.assert_layout(out.read_text(), self.scene_layout)
+
+    @pytest.mark.parametrize("n_objects, keys", [
+        ("1", ("value", "grad_file")),
+        ("0", ("value", "grad_file", "degenerate_n")),
+    ], ids=["plain", "degenerate_n"])
+    def test_loss_report(self, tmp_path, capsys, n_objects, keys):
+        write_grid(Grid(np.array([[1.0, 0.0]])), tmp_path / "heat.grid")
+        write_grid(Grid(np.array([[0.5, 0.25]])), tmp_path / "pred.grid")
+        (tmp_path / "loss.json").write_text(json.dumps({"variant": "MASK_FOCAL"}))
+        out = tmp_path / "report.json"
+        argv = ["eval-loss", "--pred", str(tmp_path / "pred.grid"), "--heatmap", str(tmp_path / "heat.grid"),
+                "--n-objects", n_objects, "--loss-config", str(tmp_path / "loss.json"), "--report-out", str(out),
+                "--grad-out", str(tmp_path / "grad.grid")]
+        assert run_cli(capsys, *argv) == (0, "", "")
+        self.assert_layout(out.read_text(), lambda report: pick(report, *keys))
+
+    @pytest.mark.parametrize("n_peaks", [0, 2])
+    def test_peaks(self, tmp_path, capsys, n_peaks):
+        values = np.zeros((6, 8))
+        values[1, 2], values[4, 6] = (0.875, 0.5) if n_peaks else (0.0, 0.0)
+        write_grid(Grid(values), tmp_path / "heat.grid")
+        out = tmp_path / "peaks.json"
+        assert run_cli(capsys, "peaks", "--heatmap", str(tmp_path / "heat.grid"), "--out", str(out)) == (0, "", "")
+        self.assert_layout(out.read_text(), lambda obj: {"peaks": [pick(p, "x", "y", "score") for p in obj["peaks"]]})
+        assert len(json.loads(out.read_text())["peaks"]) == n_peaks
+
+    def test_count_report(self, tmp_path, capsys):
+        (tmp_path / "counts.json").write_text(json.dumps({"per_image": [{"truth": 4, "pred": 3}, {"pred": 9, "truth": 4}]}))
+        out = tmp_path / "report.json"
+        assert run_cli(capsys, "eval-count", "--counts", str(tmp_path / "counts.json"), "--out", str(out)) == (0, "", "")
+        self.assert_layout(out.read_text(), count_report_layout)
+
+    def test_experiment_report(self, tmp_path, capsys):
+        (tmp_path / "exp.json").write_text(json.dumps({
+            "scenes": [{"width": 16, "height": 12, "boxes": [{"cx": 8.0, "cy": 6.0, "w": 5.0, "h": 5.0}]}],
+            "variants": [{"gamma": 3.0, "variant": "MASK_FOCAL"}, {"variant": "FOCAL_SCALAR"}],
+            "sigma": {"eta": 1.0, "eps_sigma": 3.0},
+            "fit": {"steps": 3, "learning_rate": 0.5},
+        }))
+        out = tmp_path / "report.json"
+        argv = ["experiment", "--config", str(tmp_path / "exp.json"), "--seed", "1", "--out", str(out)]
+        assert run_cli(capsys, *argv) == (0, "", "")
+        self.assert_layout(out.read_text(), lambda entries: [
+            {"variant": pick(e["variant"], "variant", "alpha", "beta", "gamma", "eps1", "clamp"),
+             "report": count_report_layout(e["report"])}
+            for e in entries
+        ])
+
+    def test_fit_stdout(self, tmp_path, capsys):
+        write_scene(tmp_path / "scene.json", width=12, height=10, boxes=((6.0, 5.0, 4.0, 4.0),))
+        (tmp_path / "loss.json").write_text(json.dumps({"variant": "HEATMAP_FOCAL"}))
+        code, out, err = run_cli(
+            capsys, "fit", "--annotation", str(tmp_path / "scene.json"), "--loss-config", str(tmp_path / "loss.json"),
+            "--steps", "3", "--learning-rate", "0.5", "--seed", "1",
+        )
+        assert (code, err) == (0, "")
+        self.assert_layout(out, lambda summary: pick(summary, "final_count", "gt_count", "initial_loss", "final_loss"))
+
+    def test_grad_check_stdout(self, capsys):
+        code, out, err = run_cli(capsys, "grad-check", "--variant", "POLY1_PIXELWISE", "--size", "4",
+                                 "--instances", "2", "--seed", "1")
+        assert (code, err) == (0, "")
+        self.assert_layout(out, lambda check: pick(
+            check, "variant", "instances", "size", "max_relative_deviation", "tolerance", "pass"))
