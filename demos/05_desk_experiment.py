@@ -29,7 +29,6 @@ variants = [
     LossConfig(LossVariant.ALPHA_FOCAL, alpha=1.0, gamma=2.0),
 ]
 fit = FitConfig(
-    loss=variants[0],
     steps=800,
     learning_rate=0.5,
     init=InitMode.UNIFORM_HALF,

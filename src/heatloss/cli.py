@@ -139,15 +139,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_fit(args: argparse.Namespace) -> int:
     scene = ser.load_scene(args.annotation)
     sigma = SigmaParams(eta=args.eta, eps_sigma=args.eps_sigma)
+    loss = ser.load_loss_config(args.loss_config)
     cfg = FitConfig(
-        loss=ser.load_loss_config(args.loss_config),
-        steps=args.steps,
-        learning_rate=args.learning_rate,
-        init=InitMode(args.init),
-        record_every=args.record_every,
-        seed=args.seed,
+        steps=args.steps, learning_rate=args.learning_rate, init=args.init, record_every=args.record_every, seed=args.seed
     )
-    trace = fit_direct(scene, sigma, cfg)
+    trace = fit_direct(scene, sigma, cfg, loss)
     if args.trace_out:
         ser.dump_fit_trace_csv(trace, args.trace_out)
     if args.pred_out:

@@ -236,7 +236,8 @@ def interpolate_boxes(
     an anchor center, copies that anchor's size.  Distance ties are broken by
     anchor order.  A distance past the float64 range reads as inf, which
     ranks its anchor last; when it is ``d_B``, which ``t`` divides by, the
-    query is a :class:`ValidationError`.
+    query is a :class:`ValidationError`.  A sum ``d_A + d_B`` past that range
+    is taken of the halved distances, which are exact at that size.
     """
     anchor_xy = np.array([(a.cx, a.cy) for a in anchors.anchors])
     result: list[BoxAnnotation] = []
@@ -254,7 +255,7 @@ def interpolate_boxes(
         d_a, d_b = float(dists[order[0]]), float(dists[order[1]])
         if math.isinf(d_b):
             raise ValidationError(f"query center ({cx}, {cy}): the distance to its second-nearest anchor overflows float64")
-        t = d_a / (d_a + d_b)
+        t = d_a / (d_a + d_b) if math.isfinite(d_a + d_b) else d_a / 2 / (d_a / 2 + d_b / 2)
         result.append(
             BoxAnnotation(
                 cx,

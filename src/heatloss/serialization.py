@@ -169,9 +169,10 @@ def sigma_params_from_obj(obj: Any, where: str = "sigma") -> SigmaParams:
     return SigmaParams(**_fields(obj, where, {"eta": float, "eps_sigma": float}, {}))
 
 
-def fit_config_from_obj(obj: Any, loss: LossConfig, seed: int | None, where: str = "fit") -> FitConfig:
+def fit_config_from_obj(obj: Any, seed: int | None, where: str = "fit") -> FitConfig:
+    """A ``fit`` block with the run's seed, together every field of :class:`FitConfig`; the loss is not one."""
     fields = _fields(obj, where, {"steps": int, "learning_rate": float}, {"init": str, "record_every": int})
-    return FitConfig(loss=loss, seed=seed, **fields)
+    return FitConfig(seed=seed, **fields)
 
 
 def load_experiment_config(
@@ -194,7 +195,7 @@ def load_experiment_config(
     if not variants:
         raise SchemaError(f"{where}: 'variants' must be non-empty")
     sigma = sigma_params_from_obj(_require(obj, "sigma", dict, where), where=f"{where}.sigma")
-    fit = fit_config_from_obj(_require(obj, "fit", dict, where), variants[0], seed, where=f"{where}.fit")
+    fit = fit_config_from_obj(_require(obj, "fit", dict, where), seed, where=f"{where}.fit")
     # the closed top level, checked last so that a part's own error comes first
     _fields(obj, where, {"scenes": list, "variants": list, "sigma": dict, "fit": dict}, {})
     return scenes, variants, sigma, fit

@@ -2,7 +2,8 @@
 
 The fitter optimizes a free logit grid so that its sigmoid matches the
 supervision target of a chosen loss variant, isolating the loss's
-optimization behavior from any network architecture.
+optimization behavior from any network architecture.  The loss is passed
+beside the descent settings (:class:`FitConfig`), so variants share them.
 
 Randomness contract: all draws come from the Philox4x64-10 counter-based
 generator keyed by ``(seed, stream)``; uniform doubles are built from the
@@ -14,7 +15,7 @@ derivation is fixed and must not change: repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -86,9 +87,8 @@ class SynthParams:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Gradient-descent settings for fitting a prediction grid to one loss."""
+    """Gradient-descent settings, an experiment file's ``fit`` block plus the seed; the loss is passed beside them."""
 
-    loss: LossConfig
     steps: int
     learning_rate: float
     init: InitMode = InitMode.UNIFORM_HALF
@@ -194,7 +194,7 @@ def supervision_bundle(scene: SceneAnnotation, sigma: SigmaParams, variant: Loss
 
 
 def _class_vector(
-    scene: SceneAnnotation, sigma: SigmaParams, cfg: FitConfig
+    scene: SceneAnnotation, sigma: SigmaParams, cfg: FitConfig, loss: LossConfig
 ) -> tuple[np.ndarray, np.ndarray | slice, np.ndarray, np.ndarray]:
     """One scene's classes: the heatmap value and pixel count of each, each pixel's class, the initial logits.
 
@@ -202,7 +202,7 @@ def _class_vector(
     view stands for the classes, so nothing is sorted or gathered; otherwise
     a class is a distinct heatmap value.
     """
-    heat = supervision_bundle(scene, sigma, cfg.loss.variant).heatmap.values.ravel()
+    heat = supervision_bundle(scene, sigma, loss.variant).heatmap.values.ravel()
     if cfg.init is InitMode.SEEDED_NOISE:
         noise = 2.0 * _UniformStream(cfg.seed, _NOISE_STREAM).block(heat.size) - 1.0
         return heat, np.s_[:], np.ones(heat.size), noise
@@ -211,8 +211,8 @@ def _class_vector(
     return values, classes, counts.astype(np.float64), np.zeros(values.size)
 
 
-def _fit_loop(scenes: list[SceneAnnotation], sigma: SigmaParams, cfg: FitConfig) -> list[FitTrace]:
-    """Fit every scene under ``cfg`` in one loop: one :func:`fit_direct` per scene, in order.
+def _fit_loop(scenes: list[SceneAnnotation], sigma: SigmaParams, cfg: FitConfig, loss: LossConfig) -> list[FitTrace]:
+    """Fit every scene under ``cfg`` and ``loss`` in one loop: one :func:`fit_direct` per scene, in order.
 
     Every variant is a sum of per-pixel terms times one scale, and the
     sigmoid, the clamp gate and the update act on each pixel alone, so pixels
@@ -232,11 +232,11 @@ def _fit_loop(scenes: list[SceneAnnotation], sigma: SigmaParams, cfg: FitConfig)
     failure it meets, in any scene, which may be a later scene's, at an
     earlier step.
     """
-    heats, classes, counts, logits = zip(*(_class_vector(scene, sigma, cfg) for scene in scenes))
+    heats, classes, counts, logits = zip(*(_class_vector(scene, sigma, cfg, loss) for scene in scenes))
     starts = np.cumsum([0] + [heat.size for heat in heats])  # segment j: starts[j]:starts[j + 1]
     heat, counts, theta = (np.concatenate(parts)[None] for parts in (heats, counts, logits))
-    scales = np.array([_loss_scale(cfg.loss, len(scene.boxes)) for scene in scenes])
-    loss_step = LossStep(Grid(heat), cfg.loss, heat.shape, np.repeat(scales, np.diff(starts)))
+    scales = np.array([_loss_scale(loss, len(scene.boxes)) for scene in scenes])
+    loss_step = LossStep(Grid(heat), loss, heat.shape, np.repeat(scales, np.diff(starts)))
     pred, one_minus = np.empty_like(theta), np.empty_like(theta)
     losses: list[list[tuple[int, float]]] = [[] for _ in scenes]
     with np.errstate(all="ignore"):  # the checks below decide what is an error
@@ -273,8 +273,8 @@ def _fit_loop(scenes: list[SceneAnnotation], sigma: SigmaParams, cfg: FitConfig)
     return traces
 
 
-def fit_direct(scene: SceneAnnotation, sigma: SigmaParams, cfg: FitConfig) -> FitTrace:
-    """Full-batch gradient descent of a free logit grid against one loss.
+def fit_direct(scene: SceneAnnotation, sigma: SigmaParams, cfg: FitConfig, loss: LossConfig) -> FitTrace:
+    """Full-batch gradient descent of a free logit grid against ``loss``, with the settings ``cfg``.
 
     The prediction is ``sigmoid(theta)``; each step applies
     ``theta -= lr * dL/dpred * pred * (1 - pred)``.  The loss is recorded at
@@ -288,7 +288,7 @@ def fit_direct(scene: SceneAnnotation, sigma: SigmaParams, cfg: FitConfig) -> Fi
     The fit is the one-scene case of :func:`_fit_loop`: one logit per pixel
     class, one prepared loss, and the logits scattered back to the grid once.
     """
-    return _fit_loop([scene], sigma, cfg)[0]
+    return _fit_loop([scene], sigma, cfg, loss)[0]
 
 
 def run_desk_experiment(
@@ -314,12 +314,11 @@ def run_desk_experiment(
         raise ValidationError("desk experiment needs at least one scene and one variant")
     results: list[tuple[LossConfig, CountReport]] = []
     for loss_cfg in variants:
-        cfg = replace(fit, loss=loss_cfg)
         try:
-            traces = _fit_loop(scenes, sigma, cfg)
+            traces = _fit_loop(scenes, sigma, fit, loss_cfg)
         except HeatlossError:
             for scene in scenes:
-                _fit_loop([scene], sigma, cfg)
+                _fit_loop([scene], sigma, fit, loss_cfg)
             raise
         results.append((loss_cfg, compute_metrics([(t.final_count, t.gt_count) for t in traces])))
     return results

@@ -9,6 +9,7 @@ from heatloss import (
     FitConfig,
     Grid,
     InitMode,
+    LossConfig,
     NonFiniteLossError,
     PlacementError,
     SceneAnnotation,
@@ -98,7 +99,7 @@ def reference_scene(params: SynthParams) -> SceneAnnotation:
 
 
 def reference_fit(
-    scene: SceneAnnotation, sigma: SigmaParams, cfg: FitConfig
+    scene: SceneAnnotation, sigma: SigmaParams, cfg: FitConfig, loss: LossConfig
 ) -> tuple[tuple[tuple[int, float], ...], Grid, int, tuple[float, ...]]:
     """The fitting loop built from public pieces, allocating on every step.
 
@@ -110,7 +111,7 @@ def reference_fit(
     documented Philox derivation: key ``(seed, 2**32)``, the top 53 bits of
     each raw output scaled to [0, 1), mapped to [-1, 1).
     """
-    bundle = supervision_bundle(scene, sigma, cfg.loss.variant)
+    bundle = supervision_bundle(scene, sigma, loss.variant)
     shape = bundle.heatmap.shape
     if cfg.init is InitMode.SEEDED_NOISE:
         bits = np.random.Philox(key=np.array([cfg.seed, 2**32], dtype=np.uint64))
@@ -118,12 +119,12 @@ def reference_fit(
         theta = 2.0 * uniform.reshape(shape) - 1.0
     else:
         theta = np.zeros(shape)
-    scale = _loss_scale(cfg.loss, bundle.n_objects)
+    scale = _loss_scale(loss, bundle.n_objects)
     losses, magnitudes = [], []
     for step in range(1, cfg.steps + 1):
         pred = expit(theta)
         try:
-            result = loss_with_grad(Grid(pred), bundle, cfg.loss)
+            result = loss_with_grad(Grid(pred), bundle, loss)
         except ValidationError as exc:  # the loss sum overflowed; a non-finite gradient is re-raised
             if str(exc) != SUM_OVERFLOW:
                 raise
@@ -131,7 +132,7 @@ def reference_fit(
         if (step - 1) % cfg.record_every == 0:
             losses.append((step, result.value))
             with np.errstate(all="ignore"):
-                term, _ = LossStep(bundle.heatmap, cfg.loss, shape, scale).terms(pred, with_grad=False)
+                term, _ = LossStep(bundle.heatmap, loss, shape, scale).terms(pred, with_grad=False)
                 magnitudes.append(abs(scale) * float(np.abs(term).sum()))
         theta -= cfg.learning_rate * result.grad.values * pred * (1.0 - pred)
     final = Grid(expit(theta))

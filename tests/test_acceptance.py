@@ -46,7 +46,6 @@ PINNED_SCENE = SynthParams(
 )
 PINNED_SIGMA = SigmaParams(eta=1.0, eps_sigma=3.0)
 PINNED_FIT = FitConfig(
-    loss=LossConfig(LossVariant.MASK_FOCAL, alpha=1.0, beta=0.5, gamma=4.0),
     steps=2000,
     learning_rate=0.5,
     init=InitMode.UNIFORM_HALF,
@@ -216,7 +215,7 @@ def test_criterion_07_metric_identities():
 def _run_pinned_fit(loss_cfg: LossConfig):
     scene = generate_scene(PINNED_SCENE)
     start = time.perf_counter()
-    trace = fit_direct(scene, PINNED_SIGMA, replace(PINNED_FIT, loss=loss_cfg))
+    trace = fit_direct(scene, PINNED_SIGMA, PINNED_FIT, loss_cfg)
     return trace, time.perf_counter() - start
 
 
@@ -271,7 +270,7 @@ def _peaks_payload(workdir: Path) -> bytes:
 
 
 def _fit_payload(workdir: Path) -> tuple[bytes, bytes]:
-    trace, _ = _run_pinned_fit(PINNED_FIT.loss)
+    trace, _ = _run_pinned_fit(PINNED_VARIANTS[0])
     trace_path = workdir / "trace.csv"
     pred_path = workdir / "pred.grid"
     dump_fit_trace_csv(trace, trace_path)

@@ -302,6 +302,16 @@ class TestInterpolateBoxes:
         t = 1.0 / 6.0
         assert box.w == pytest.approx(10.0 + t * 10.0, abs=1e-12)
 
+    @pytest.mark.parametrize("cx_a, cx_b, side", [
+        (-1e308, 1e308, 6.0),  # d_a + d_b overflows: the midpoint, not a copy of the nearest anchor
+        (-1e308, 1.5e308, 5.6),  # t = 1e308 / 2.5e308 = 0.4
+        (-10.0, 15.0, 5.6),  # the same weight at a finite sum
+    ], ids=["overflowing_equal", "overflowing_unequal", "finite"])
+    def test_weight_of_distances_whose_sum_overflows(self, cx_a, cx_b, side):
+        anchors = AnchorSet((BoxAnnotation(cx_a, 0, 4, 4), BoxAnnotation(cx_b, 0, 8, 8)))
+        (box,) = interpolate_boxes(anchors, [(0.0, 0.0)])
+        assert (box.w, box.h) == (side, side)
+
     def test_rejects_non_finite_center(self):
         with pytest.raises(ValidationError):
             interpolate_boxes(self.anchors, [(float("inf"), 0.0)])

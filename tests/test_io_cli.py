@@ -8,7 +8,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +19,10 @@ from hypothesis.extra.numpy import arrays
 
 from heatloss import (
     BoxAnnotation,
+    FitConfig,
     Grid,
     GroundTruthBundle,
+    InitMode,
     LossConfig,
     LossVariant,
     SceneAnnotation,
@@ -361,7 +363,7 @@ class TestSchemaRejections:
          "loss config: unknown key 'gama' (known keys: variant, alpha, beta, gamma, eps1, clamp)"),
         (sigma_params_from_obj, {"eta": 1.0, "eps_sigma": 3.0}, "etaa",
          "sigma: unknown key 'etaa' (known keys: eta, eps_sigma)"),
-        (lambda obj: fit_config_from_obj(obj, LossConfig("MASK_FOCAL"), None), {"steps": 1, "learning_rate": 0.5},
+        (lambda obj: fit_config_from_obj(obj, None), {"steps": 1, "learning_rate": 0.5},
          "recordevery", "fit: unknown key 'recordevery' (known keys: steps, learning_rate, init, record_every)"),
     ], ids=["loss", "sigma", "fit"])
     def test_config_rejects_an_unknown_key(self, parse, known, key, message):
@@ -369,6 +371,14 @@ class TestSchemaRejections:
         parse(known)
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             parse({**known, key: 9.0})
+
+    def test_fit_config_is_the_fit_block_and_the_seed(self):
+        """Every ``FitConfig`` field is a ``fit`` key or the seed, so no experiment fills in a placeholder."""
+        assert [field.name for field in fields(FitConfig)] == ["steps", "learning_rate", "init", "record_every", "seed"]
+        block = {"steps": 7, "learning_rate": 0.25, "init": "SEEDED_NOISE", "record_every": 3}
+        assert fit_config_from_obj(block, 5) == FitConfig(
+            steps=7, learning_rate=0.25, init=InitMode.SEEDED_NOISE, record_every=3, seed=5
+        )
 
     def test_annotations_stay_open_to_metadata(self):
         obj = {"width": 8, "height": 8, "source": "frame 12",
@@ -1177,6 +1187,17 @@ class TestSynthFitExperimentCommands:
         cfg.write_text(json.dumps({"variant": "MASK_FOCAL", "gama": 9.0, "beta": 0.5}))
         code, out, err = run_cli(capsys, "fit", "--annotation", str(ann), "--loss-config", str(cfg),
                                  "--steps", "2", "--learning-rate", "0.5", "--seed", "1")
+        assert code == 2 and out == ""
+        payload = error_payload(err)
+        assert payload["error"] == "SCHEMA_ERROR" and f"{cfg}: unknown key 'gama'" in payload["message"]
+
+    def test_fit_reads_the_loss_config_before_the_fit_settings(self, tmp_path, capsys):
+        """With both the loss config and ``--steps`` bad, the loss config's error comes first."""
+        ann, cfg = tmp_path / "scene.json", tmp_path / "loss.json"
+        write_scene(ann)
+        cfg.write_text(json.dumps({"variant": "MASK_FOCAL", "gama": 9.0}))
+        code, out, err = run_cli(capsys, "fit", "--annotation", str(ann), "--loss-config", str(cfg),
+                                 "--steps", "0", "--learning-rate", "0.5", "--seed", "1")
         assert code == 2 and out == ""
         payload = error_payload(err)
         assert payload["error"] == "SCHEMA_ERROR" and f"{cfg}: unknown key 'gama'" in payload["message"]

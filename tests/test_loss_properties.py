@@ -210,8 +210,8 @@ def test_a_valid_loss_evaluation_never_warns(case, learning_rate, init):
     except ValidationError:
         pass
     assert batched_loss_values(pred[None], gt, cfg).shape == (1,)
-    fit = FitConfig(loss=cfg, steps=3, learning_rate=learning_rate, init=init, record_every=2, seed=1)
+    fit = FitConfig(steps=3, learning_rate=learning_rate, init=init, record_every=2, seed=1)
     try:
-        fit_direct(FIT_SCENE, SigmaParams(eta=1.0, eps_sigma=3.0), fit)
+        fit_direct(FIT_SCENE, SigmaParams(eta=1.0, eps_sigma=3.0), fit, cfg)
     except HeatlossError:
         pass

@@ -40,7 +40,7 @@ SIGMA = SigmaParams(eta=1.0, eps_sigma=3.0)
 
 
 def fit_config(**overrides):
-    return FitConfig(**{"loss": LossConfig(LossVariant.MASK_FOCAL), "steps": 1, "learning_rate": 0.5, **overrides})
+    return FitConfig(**{"steps": 1, "learning_rate": 0.5, **overrides})
 
 
 def small_scene(n_heads=3, seed=7):
@@ -273,9 +273,9 @@ def assert_losses_within_bound(scene, losses, reference, magnitudes):
         assert abs(value - expected) <= rel * magnitude
 
 
-def assert_matches_reference(scene, cfg):
-    trace = fit_direct(scene, SIGMA, cfg)
-    losses, final_pred, final_count, _ = reference_fit(scene, SIGMA, cfg)
+def assert_matches_reference(scene, cfg, loss):
+    trace = fit_direct(scene, SIGMA, cfg, loss)
+    losses, final_pred, final_count, _ = reference_fit(scene, SIGMA, cfg, loss)
     assert_losses_within_bound(scene, trace.losses, losses, [abs(value) for _, value in losses])
     assert trace.final_pred.values.tobytes() == final_pred.values.tobytes()
     assert trace.final_count == final_count
@@ -284,26 +284,26 @@ def assert_matches_reference(scene, cfg):
 class TestFitDirect:
     def test_trace_length_contract(self):
         scene = small_scene(n_heads=1)
+        loss = LossConfig(LossVariant.MASK_FOCAL, beta=0.5, gamma=2.0)
         for steps, every in ((1, 1), (5, 2), (10, 3), (10, 10)):
             cfg = FitConfig(
-                loss=LossConfig(LossVariant.MASK_FOCAL, beta=0.5, gamma=2.0),
                 steps=steps,
                 learning_rate=0.5,
                 record_every=every,
             )
-            trace = fit_direct(scene, SIGMA, cfg)
+            trace = fit_direct(scene, SIGMA, cfg, loss)
             assert len(trace.losses) == math.ceil(steps / every)
             assert trace.losses[0][0] == 1
 
     def test_empty_scene_decays_to_zero_count(self):
         scene = generate_scene(SynthParams(seed=2, width=24, height=24, n_heads=0))
+        loss = LossConfig(LossVariant.MASK_FOCAL, beta=0.5, gamma=2.0)
         cfg = FitConfig(
-            loss=LossConfig(LossVariant.MASK_FOCAL, beta=0.5, gamma=2.0),
             steps=60,
             learning_rate=0.5,
             init=InitMode.ZEROS_LOGIT,
         )
-        trace = fit_direct(scene, SIGMA, cfg)
+        trace = fit_direct(scene, SIGMA, cfg, loss)
         first = [loss for _, loss in trace.losses[:10]]
         assert all(a > b for a, b in zip(first, first[1:]))
         assert trace.final_count == 0 and trace.gt_count == 0
@@ -311,46 +311,45 @@ class TestFitDirect:
     def test_seeded_noise_requires_seed_and_is_deterministic(self):
         with pytest.raises(ValidationError):
             FitConfig(
-                loss=LossConfig(LossVariant.MASK_FOCAL),
                 steps=1,
                 learning_rate=0.1,
                 init=InitMode.SEEDED_NOISE,
             )
         scene = small_scene(n_heads=2)
+        loss = LossConfig(LossVariant.MASK_FOCAL, beta=0.5, gamma=2.0)
         cfg = FitConfig(
-            loss=LossConfig(LossVariant.MASK_FOCAL, beta=0.5, gamma=2.0),
             steps=20,
             learning_rate=0.5,
             init=InitMode.SEEDED_NOISE,
             seed=123,
         )
-        a, b = fit_direct(scene, SIGMA, cfg), fit_direct(scene, SIGMA, cfg)
+        a, b = fit_direct(scene, SIGMA, cfg, loss), fit_direct(scene, SIGMA, cfg, loss)
         assert a.losses == b.losses
         np.testing.assert_array_equal(a.final_pred.values, b.final_pred.values)
 
     def test_non_finite_loss_aborts_with_diagnostic(self):
         scene = small_scene(n_heads=2)
+        loss = LossConfig(LossVariant.MASK_FOCAL, alpha=1e308, beta=0.5, gamma=2.0)
         cfg = FitConfig(
-            loss=LossConfig(LossVariant.MASK_FOCAL, alpha=1e308, beta=0.5, gamma=2.0),
             steps=5,
             learning_rate=1e6,
         )
         # no update runs before step 1, so the loss config is to blame, not the learning rate
         message = "^loss became non-finite at step 1; alpha, eps1 or gamma is likely too large$"
         with pytest.raises(NonFiniteLossError, match=message):
-            fit_direct(scene, SIGMA, cfg)
+            fit_direct(scene, SIGMA, cfg, loss)
 
     def test_count_weight_overflows_where_no_class_term_does(self):
         """An empty scene is one background class of term about -5e305 at 0.5, weighted by its pixel count."""
         loss = LossConfig(LossVariant.POLY1_PIXELWISE, eps1=1e306, gamma=0.0)
-        cfg = FitConfig(loss=loss, steps=1, learning_rate=0.5)
+        cfg = FitConfig(steps=1, learning_rate=0.5)
         small, large = SceneAnnotation(4, 4, ()), SceneAnnotation(40, 40, ())
         message = "^loss became non-finite at step 1; alpha, eps1 or gamma is likely too large$"
         with pytest.raises(NonFiniteLossError, match=message):
-            fit_direct(large, SIGMA, cfg)
+            fit_direct(large, SIGMA, cfg, loss)
         with pytest.raises(NonFiniteLossError, match="at step 1$"):
-            reference_fit(large, SIGMA, cfg)
-        assert fit_direct(small, SIGMA, cfg).losses == ((1, 8e306),)
+            reference_fit(large, SIGMA, cfg, loss)
+        assert fit_direct(small, SIGMA, cfg, loss).losses == ((1, 8e306),)
         with pytest.raises(NonFiniteLossError, match=message):
             run_desk_experiment([small, large], [loss], SIGMA, cfg)
 
@@ -366,19 +365,18 @@ class TestFitDirect:
             gamma=0.5,
             eps1=-1000.0,
         )
-        cfg = FitConfig(loss=loss, steps=10, learning_rate=13.522921485538442, record_every=every)
+        cfg = FitConfig(steps=10, learning_rate=13.522921485538442, record_every=every)
         with pytest.raises(NonFiniteLossError, match="at step 2; the learning rate"):
-            fit_direct(scene, SIGMA, cfg)
+            fit_direct(scene, SIGMA, cfg, loss)
         with pytest.raises(NonFiniteLossError, match="at step 2$"):
-            reference_fit(scene, SIGMA, cfg)
+            reference_fit(scene, SIGMA, cfg, loss)
 
     def test_overflowing_update_aborts_with_diagnostic(self):
         scene = small_scene(n_heads=2)
-        cfg = FitConfig(
-            loss=LossConfig(LossVariant.FOCAL_SCALAR, gamma=2.0), steps=5, learning_rate=1.7e308
-        )
+        loss = LossConfig(LossVariant.FOCAL_SCALAR, gamma=2.0)
+        cfg = FitConfig(steps=5, learning_rate=1.7e308)
         with pytest.raises(NonFiniteLossError, match=r"learning rate 1\.7e\+308"):
-            fit_direct(scene, SIGMA, cfg)
+            fit_direct(scene, SIGMA, cfg, loss)
 
     @pytest.mark.parametrize("init", [InitMode.UNIFORM_HALF, InitMode.SEEDED_NOISE], ids=lambda m: m.value)
     @pytest.mark.parametrize("scene_shape", REFERENCE_SCENES, ids=lambda s: "%dx%d_%d_heads" % s)
@@ -386,8 +384,8 @@ class TestFitDirect:
     def test_matches_reference_loop(self, loss, scene_shape, init):
         height, width, heads = scene_shape
         scene = generate_scene(SynthParams(seed=11, width=width, height=height, n_heads=heads))
-        cfg = FitConfig(loss=loss, steps=40, learning_rate=0.5, init=init, record_every=3, seed=5)
-        assert_matches_reference(scene, cfg)
+        cfg = FitConfig(steps=40, learning_rate=0.5, init=init, record_every=3, seed=5)
+        assert_matches_reference(scene, cfg, loss)
 
     @pytest.mark.parametrize("init", [InitMode.UNIFORM_HALF, InitMode.SEEDED_NOISE], ids=lambda m: m.value)
     @pytest.mark.parametrize("loss", [
@@ -399,9 +397,9 @@ class TestFitDirect:
         and a learning rate of 24 throws some predictions past it: a step's terms
         cancel, so its loss is bounded against ``|scale| sum(|term|)``, not ``|loss|``."""
         scene = generate_scene(SynthParams(seed=11, width=12, height=10, n_heads=2))
-        cfg = FitConfig(loss=loss, steps=40, learning_rate=24.0, init=init, record_every=1, seed=5)
-        trace = fit_direct(scene, SIGMA, cfg)
-        losses, final_pred, final_count, magnitudes = reference_fit(scene, SIGMA, cfg)
+        cfg = FitConfig(steps=40, learning_rate=24.0, init=init, record_every=1, seed=5)
+        trace = fit_direct(scene, SIGMA, cfg, loss)
+        losses, final_pred, final_count, magnitudes = reference_fit(scene, SIGMA, cfg, loss)
         assert any(m > 1.5 * abs(value) for (_, value), m in zip(losses, magnitudes))  # the terms mix signs
         assert_losses_within_bound(scene, trace.losses, losses, magnitudes)
         assert trace.final_pred.values.tobytes() == final_pred.values.tobytes()
@@ -411,8 +409,8 @@ class TestFitDirect:
     @pytest.mark.parametrize("scene_name", list(CLASS_SCENES))
     @pytest.mark.parametrize("loss", REFERENCE_LOSSES, ids=lambda c: f"{c.variant.value}_eps1_{c.eps1}")
     def test_pixel_classes_match_reference_loop(self, loss, scene_name, every):
-        cfg = FitConfig(loss=loss, steps=30, learning_rate=0.5, record_every=every)
-        assert_matches_reference(CLASS_SCENES[scene_name], cfg)
+        cfg = FitConfig(steps=30, learning_rate=0.5, record_every=every)
+        assert_matches_reference(CLASS_SCENES[scene_name], cfg, loss)
 
     # pairs of fits that must agree bit for bit: (init, record_every) against (other_init, 7)
     @pytest.mark.parametrize("init,every,other_init", [
@@ -425,8 +423,8 @@ class TestFitDirect:
         assert expit(np.zeros(1))[0] == 0.5
         trace, other = (
             fit_direct(CLASS_SCENES["96x64_12_heads"], SIGMA, FitConfig(
-                loss=loss, steps=30, learning_rate=0.5, init=fit_init, record_every=fit_every, seed=5
-            ))
+                steps=30, learning_rate=0.5, init=fit_init, record_every=fit_every, seed=5
+            ), loss)
             for fit_init, fit_every in ((init, every), (other_init, 7))
         )
         assert trace.losses[:: 7 // every] == other.losses
@@ -437,14 +435,14 @@ class TestFitDirect:
         scene = generate_scene(
             SynthParams(seed=42, width=64, height=64, n_heads=5, min_center_gap=20.0)
         )
+        loss = LossConfig(LossVariant.MASK_FOCAL, alpha=1.0, beta=0.5, gamma=4.0)
         cfg = FitConfig(
-            loss=LossConfig(LossVariant.MASK_FOCAL, alpha=1.0, beta=0.5, gamma=4.0),
             steps=2000,
             learning_rate=0.5,
             init=InitMode.UNIFORM_HALF,
             record_every=1,
         )
-        trace = fit_direct(scene, SIGMA, cfg)
+        trace = fit_direct(scene, SIGMA, cfg, loss)
         values = [loss for _, loss in trace.losses]
         assert all(later <= earlier for earlier, later in zip(values, values[1:]))
 
@@ -472,19 +470,19 @@ class TestFitDirect:
         scene = generate_scene(
             SynthParams(seed=42, width=64, height=64, n_heads=5, min_center_gap=20.0)
         )
+        loss = LossConfig(LossVariant.MASK_FOCAL, alpha=1.0, beta=0.5, gamma=4.0)
         cfg = FitConfig(
-            loss=LossConfig(LossVariant.MASK_FOCAL, alpha=1.0, beta=0.5, gamma=4.0),
             steps=2000,
             learning_rate=0.5,
             init=InitMode.UNIFORM_HALF,
             record_every=100,
         )
-        trace = fit_direct(scene, SIGMA, cfg)
-        bundle = supervision_bundle(scene, SIGMA, cfg.loss.variant)
+        trace = fit_direct(scene, SIGMA, cfg, loss)
+        bundle = supervision_bundle(scene, SIGMA, loss.variant)
         target = np.where(
             bundle.heatmap.values > 0.0,
-            np.clip(bundle.heatmap.values, cfg.loss.clamp, 1 - cfg.loss.clamp),
-            cfg.loss.clamp,
+            np.clip(bundle.heatmap.values, loss.clamp, 1 - loss.clamp),
+            loss.clamp,
         )
         assert np.abs(trace.final_pred.values - target).max() <= 0.05
 
@@ -505,9 +503,9 @@ def test_fit_matches_reference_loop_on_random_scenes(
 ):
     scene = generate_scene(SynthParams(seed=scene_seed, width=width, height=height, n_heads=heads))
     cfg = FitConfig(
-        loss=loss, steps=steps, learning_rate=0.5, init=init, record_every=every, seed=scene_seed
+        steps=steps, learning_rate=0.5, init=init, record_every=every, seed=scene_seed
     )
-    assert_matches_reference(scene, cfg)
+    assert_matches_reference(scene, cfg, loss)
 
 
 def fit_outcome(fit):
@@ -598,18 +596,18 @@ def test_batch_equals_batch_of_one(shapes, fit, init, every, steps):
         for height, width, heads, seed in shapes
     ]
     loss, lr = fit
-    cfg = FitConfig(loss=loss, steps=steps, learning_rate=lr, init=init, record_every=every, seed=7)
-    alone = [fit_outcome(lambda: fit_direct(scene, SIGMA, cfg)) for scene in scenes]
+    cfg = FitConfig(steps=steps, learning_rate=lr, init=init, record_every=every, seed=7)
+    alone = [fit_outcome(lambda: fit_direct(scene, SIGMA, cfg, loss)) for scene in scenes]
     errors = [outcome for outcome in alone if isinstance(outcome, tuple)]
     if errors:
         # the loop raises some scene's own error, so refitting the scenes alone meets one
-        assert fit_outcome(lambda: _fit_loop(scenes, SIGMA, cfg)) in errors
+        assert fit_outcome(lambda: _fit_loop(scenes, SIGMA, cfg, loss)) in errors
         assert fit_outcome(lambda: run_desk_experiment(scenes, [loss], SIGMA, cfg)) == errors[0]
         return
-    batch = _fit_loop(scenes, SIGMA, cfg)
+    batch = _fit_loop(scenes, SIGMA, cfg, loss)
     assert len(batch) == len(scenes)
     for scene, trace, own in zip(scenes, batch, alone):
-        losses, final_pred, final_count, magnitudes = reference_fit(scene, SIGMA, cfg)
+        losses, final_pred, final_count, magnitudes = reference_fit(scene, SIGMA, cfg, loss)
         assert trace.losses == own.losses
         assert_losses_within_bound(scene, trace.losses, losses, magnitudes)
         assert trace.final_pred.values.tobytes() == own.final_pred.values.tobytes() == final_pred.values.tobytes()
@@ -624,9 +622,9 @@ def test_batch_equals_batch_of_one(shapes, fit, init, every, steps):
 def test_batch_raises_the_first_failing_scenes_error(case, every):
     """The error is the earliest scene's, even where a later scene fails at an earlier step."""
     loss, lr, sigma, first, first_error, later, later_error = LATER_SCENE_FAILS_FIRST[case]
-    cfg = FitConfig(loss=loss, steps=40, learning_rate=lr, record_every=every)
-    assert fit_outcome(lambda: fit_direct(first, sigma, cfg)) == first_error
-    assert fit_outcome(lambda: fit_direct(later, sigma, cfg)) == later_error
+    cfg = FitConfig(steps=40, learning_rate=lr, record_every=every)
+    assert fit_outcome(lambda: fit_direct(first, sigma, cfg, loss)) == first_error
+    assert fit_outcome(lambda: fit_direct(later, sigma, cfg, loss)) == later_error
     for scenes, error in (
         ([first], first_error),
         ([later], later_error),
@@ -635,7 +633,7 @@ def test_batch_raises_the_first_failing_scenes_error(case, every):
         ([first, first, later], first_error),
         ([first, later, later], first_error),
     ):
-        assert fit_outcome(lambda: _fit_loop(scenes, sigma, cfg)) in (first_error, later_error)
+        assert fit_outcome(lambda: _fit_loop(scenes, sigma, cfg, loss)) in (first_error, later_error)
         assert fit_outcome(lambda: run_desk_experiment(scenes, [loss], sigma, cfg)) == error
     # the first variant fits; the second raises
     variants = [LossConfig(LossVariant.MASK_FOCAL), loss]
@@ -645,12 +643,12 @@ def test_batch_raises_the_first_failing_scenes_error(case, every):
 class TestDeskExperiment:
     def test_single_scene_single_variant(self):
         scene = small_scene(n_heads=2)
+        loss = LossConfig(LossVariant.MASK_FOCAL, beta=0.5, gamma=2.0)
         fit = FitConfig(
-            loss=LossConfig(LossVariant.MASK_FOCAL, beta=0.5, gamma=2.0),
             steps=50,
             learning_rate=0.5,
         )
-        results = run_desk_experiment([scene], [fit.loss], SIGMA, fit)
+        results = run_desk_experiment([scene], [loss], SIGMA, fit)
         assert len(results) == 1
         _, report = results[0]
         assert report.m == 1
@@ -658,7 +656,7 @@ class TestDeskExperiment:
     def test_duplicate_variants_give_identical_reports(self):
         scene = small_scene(n_heads=2)
         cfg = LossConfig(LossVariant.HEATMAP_FOCAL, beta=4.0, gamma=2.0)
-        fit = FitConfig(loss=cfg, steps=40, learning_rate=0.5)
+        fit = FitConfig(steps=40, learning_rate=0.5)
         results = run_desk_experiment([scene], [cfg, cfg], SIGMA, fit)
         assert results[0][1] == results[1][1]
 
@@ -666,7 +664,7 @@ class TestDeskExperiment:
         scenes = [small_scene(n_heads=heads, seed=heads) for heads in range(4)]
         half, zeros = (
             run_desk_experiment(scenes, REFERENCE_LOSSES, SIGMA, FitConfig(
-                loss=REFERENCE_LOSSES[0], steps=60, learning_rate=0.5, init=init
+                steps=60, learning_rate=0.5, init=init
             ))
             for init in (InitMode.UNIFORM_HALF, InitMode.ZEROS_LOGIT)
         )
@@ -674,9 +672,9 @@ class TestDeskExperiment:
         assert half == zeros
 
     def test_empty_inputs_rejected(self):
-        fit = FitConfig(loss=LossConfig(LossVariant.MASK_FOCAL), steps=1, learning_rate=0.5)
+        fit = FitConfig(steps=1, learning_rate=0.5)
         with pytest.raises(ValidationError):
-            run_desk_experiment([], [fit.loss], SIGMA, fit)
+            run_desk_experiment([], [LossConfig(LossVariant.MASK_FOCAL)], SIGMA, fit)
 
     def test_two_variant_comparison_over_ten_scenes(self):
         scenes = [
@@ -687,7 +685,7 @@ class TestDeskExperiment:
             LossConfig(LossVariant.HEATMAP_FOCAL, beta=4.0, gamma=2.0),
             LossConfig(LossVariant.MASK_FOCAL_POLY1, beta=0.5, gamma=4.0),
         ]
-        fit = FitConfig(loss=variants[0], steps=300, learning_rate=0.5)
+        fit = FitConfig(steps=300, learning_rate=0.5)
         results = run_desk_experiment(scenes, variants, SIGMA, fit)
         assert [cfg.variant for cfg, _ in results] == [v.variant for v in variants]
         for _, report in results:
